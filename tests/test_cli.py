@@ -227,3 +227,309 @@ class TestContract:
         second = capsys.readouterr()
         assert first.out == second.out
         assert first.err == second.err
+
+
+CHAIN_DOC = {
+    "sectors": [
+        {"id": "A", "cusped_euler": -1},
+        {"id": "B"},
+        {"id": "C", "cusped_euler": 1},
+        {"id": "D", "boundary": True},
+    ],
+    "branch_curves": [
+        {"out1": "A", "out2": "B", "in": "C"},
+        {"out1": "C", "out2": "A", "in": "D"},
+    ],
+    "vertical_annuli": [
+        {"id": "V0", "degree": 0, "boundary_classes": ["essential", "essential"]},
+        {"id": "V1", "degree": 1, "boundary_classes": ["disk-bounding", "disk-bounding"]},
+    ],
+}
+
+GOLDEN_FILES = {
+    "simple.json": SIMPLE_DOC,
+    "chain.json": CHAIN_DOC,
+    "annuli.json": {
+        "sectors": [{"id": "A"}],
+        "branch_curves": [],
+        "vertical_annuli": [
+            {"id": "V0", "degree": 0, "boundary_classes": ["essential", "essential"]},
+            {"id": "V1", "degree": 1, "boundary_classes": ["essential", "disk-bounding"]},
+            {"id": "V2", "degree": 2, "boundary_classes": ["disk-bounding", "disk-bounding"]},
+        ],
+    },
+    "valid.json": {"A": 1, "B": 1, "C": 2, "D": 3},
+    "invalid.json": {"A": 1, "B": 1, "C": 1, "D": 1},
+}
+
+WORKED_ROWS = [
+    {"k": "0", "k1": 1, "k2": 0, "s_k": "-2/5", "determinant": 1, "edge": True, "coprime": True},
+    {"k": "1/3", "k1": 3, "k2": 1, "s_k": "-5/11", "determinant": 1, "edge": True, "coprime": True},
+]
+CASE2_ROWS = [
+    {"k": "0", "k1": 0, "k2": 0, "s_k": "-1/1", "determinant": -1, "edge": False, "coprime": True},
+    {"k": "1/2", "k1": 1, "k2": 1, "s_k": "-1/1", "determinant": -3, "edge": False, "coprime": False},
+]
+EMPTY_FAMILY_NOTE = "no admissible (k1, k2) pairs: gcd(a1, a2) does not divide a2' - a1'"
+
+# Every subcommand form: argv (file names resolve in the golden directory),
+# the exact text stdout, and the document that --format json prints as
+# json.dumps(doc, indent=2, sort_keys=True).
+GOLDEN = [
+    pytest.param(
+        ["farey", "path", "--from", "1/5", "--to", "inf"],
+        "1/5, 1/4, 1/3, 1/2, 1/1, inf\n",
+        {"from": "1/5", "to": "inf", "path": ["1/5", "1/4", "1/3", "1/2", "1/1", "inf"]},
+        id="farey-path",
+    ),
+    pytest.param(
+        ["farey", "path", "--from=-3/7", "--to", "1/2"],
+        "-3/7, -2/5, -1/3, 0/1, 1/2\n",
+        {"from": "-3/7", "to": "1/2", "path": ["-3/7", "-2/5", "-1/3", "0/1", "1/2"]},
+        id="farey-path-negative",
+    ),
+    pytest.param(
+        ["farey", "successor", "--of", "2/5"],
+        "1/2\n",
+        {"of": "2/5", "successor": "1/2"},
+        id="farey-successor",
+    ),
+    pytest.param(
+        ["farey", "mediant", "--a", "1/1", "--b", "inf"],
+        "2/1\n",
+        {"a": "1/1", "b": "inf", "mediant": "2/1"},
+        id="farey-mediant",
+    ),
+    pytest.param(
+        ["farey", "edge", "--a", "1/3", "--b", "1/2"],
+        "true\n",
+        {"a": "1/3", "b": "1/2", "edge": True},
+        id="farey-edge-true",
+    ),
+    pytest.param(
+        ["farey", "edge", "--a", "1/3", "--b", "2/3"],
+        "false\n",
+        {"a": "1/3", "b": "2/3", "edge": False},
+        id="farey-edge-false",
+    ),
+    pytest.param(
+        ["farey", "intersection", "--a", "1/3", "--b", "2/3"],
+        "3\n",
+        {"a": "1/3", "b": "2/3", "intersection": 3},
+        id="farey-intersection",
+    ),
+    pytest.param(
+        ["farey", "neighbor", "--of=-1/2", "--upper=-2/5"],
+        "-3/7\n",
+        {"of": "-1/2", "upper": "-2/5", "neighbor": "-3/7"},
+        id="farey-neighbor",
+    ),
+    pytest.param(
+        ["weights", "solve", "--input", "simple.json", "--max", "1"],
+        "sectors: A, B, C\n(0, 0, 0)\n(0, 1, 1)\n(1, 0, 1)\n3 solution(s)\n",
+        {
+            "sectors": ["A", "B", "C"],
+            "solutions": [
+                {"A": 0, "B": 0, "C": 0},
+                {"A": 0, "B": 1, "C": 1},
+                {"A": 1, "B": 0, "C": 1},
+            ],
+            "count": 3,
+        },
+        id="weights-solve",
+    ),
+    pytest.param(
+        ["weights", "solve", "--input", "chain.json", "--max", "3", "--positive"],
+        "sectors: A, B, C, D\n(1, 1, 2, 3)\n1 solution(s)\n",
+        {
+            "sectors": ["A", "B", "C", "D"],
+            "solutions": [{"A": 1, "B": 1, "C": 2, "D": 3}],
+            "count": 1,
+        },
+        id="weights-solve-positive",
+    ),
+    pytest.param(
+        ["weights", "solve", "--input", "chain.json", "--max", "1", "--positive"],
+        "sectors: A, B, C, D\n0 solution(s)\n",
+        {"sectors": ["A", "B", "C", "D"], "solutions": [], "count": 0},
+        id="weights-solve-none",
+    ),
+    pytest.param(
+        ["weights", "check", "--input", "chain.json", "--weights", "valid.json"],
+        "valid\n",
+        {"valid": True},
+        id="weights-check-valid",
+    ),
+    pytest.param(
+        ["weights", "check", "--input", "chain.json", "--weights", "invalid.json"],
+        "invalid\n",
+        {"valid": False},
+        id="weights-check-invalid",
+    ),
+    pytest.param(
+        ["weights", "euler", "--input", "chain.json", "--weights", "valid.json"],
+        "1\n",
+        {"carried_euler": 1},
+        id="weights-euler",
+    ),
+    pytest.param(
+        ["amputate", "--input", "chain.json", "--sectors", "B"],
+        "sectors: A, C, D\nbranch curves: (C,A->D)\nboundary curves: A:out1, C:in\n",
+        {
+            "sectors": [
+                {"id": "A", "cusped_euler": -1, "boundary": True},
+                {"id": "C", "cusped_euler": 1, "boundary": True},
+                {"id": "D", "cusped_euler": 0, "boundary": True},
+            ],
+            "branch_curves": [{"out1": "C", "out2": "A", "in": "D"}],
+            "boundary_curves": [{"sector": "A", "role": "out1"}, {"sector": "C", "role": "in"}],
+            "vertical_annuli": CHAIN_DOC["vertical_annuli"],
+        },
+        id="amputate",
+    ),
+    pytest.param(
+        ["amputate", "--input", "simple.json", "--sectors", "A,B,C"],
+        "sectors: (none)\nbranch curves: (none)\nboundary curves: (none)\n",
+        {"sectors": [], "branch_curves": []},
+        id="amputate-to-none",
+    ),
+    pytest.param(
+        ["degree-check", "--input", "annuli.json"],
+        "annulus V1: mixed boundary classes (essential, disk-bounding)\n"
+        "annulus V1: degree 1 with an essential boundary\n"
+        "annulus V2: degree 2 outside the 0/1 dichotomy\n",
+        {
+            "annuli": 3,
+            "violations": [
+                "annulus V1: mixed boundary classes (essential, disk-bounding)",
+                "annulus V1: degree 1 with an essential boundary",
+                "annulus V2: degree 2 outside the 0/1 dichotomy",
+            ],
+        },
+        id="degree-check",
+    ),
+    pytest.param(
+        ["degree-check", "--input", "chain.json"],
+        "no violations\n",
+        {"annuli": 2, "violations": []},
+        id="degree-check-clean",
+    ),
+    pytest.param(
+        ["seifert", "--triple", "(1/3,1/6,-1/2)", "--kmax", "1/3"],
+        "triple: (1/3, 1/6, -1/2)\n"
+        "normalized: (1/3, 1/6, -1/2)\n"
+        "euler number: 0\n"
+        "torus bundle: yes\n"
+        "limit slope: -1/2\n"
+        "duals: 1/2, 1/5\n"
+        "r1=1 r2=0 step=1/3\n"
+        "     k    k1    k2         s_k     det  edge  coprime\n"
+        "     0     1     0        -2/5       1  yes   yes\n"
+        "   1/3     3     1       -5/11       1  yes   yes\n"
+        "verdict: torus-bundle candidate\n",
+        {
+            "triple": "(1/3, 1/6, -1/2)",
+            "normalized": "(1/3, 1/6, -1/2)",
+            "euler": "0",
+            "torus_bundle": True,
+            "limit": "-1/2",
+            "duals": ["1/2", "1/5"],
+            "r1": 1,
+            "r2": 0,
+            "step": "1/3",
+            "rows": WORKED_ROWS,
+            "verdict": "torus-bundle candidate",
+        },
+        id="seifert",
+    ),
+    pytest.param(
+        ["seifert", "--triple", "(1/2,1/2,-1/2)", "--kmax", "1/2"],
+        "triple: (1/2, 1/2, -1/2)\n"
+        "normalized: (1/2, 1/2, -1/2)\n"
+        "euler number: 1/2\n"
+        "torus bundle: no\n"
+        "limit slope: -1/1\n"
+        "duals: 1/1, 1/1\n"
+        "r1=0 r2=0 step=1/2\n"
+        "     k    k1    k2         s_k     det  edge  coprime\n"
+        "     0     0     0        -1/1      -1  no    yes\n"
+        "   1/2     1     1        -1/1      -3  no    no\n"
+        "note: Case-2 assumption violated (zero-twisting torus exists)\n"
+        "verdict: GCS finite\n",
+        {
+            "triple": "(1/2, 1/2, -1/2)",
+            "normalized": "(1/2, 1/2, -1/2)",
+            "euler": "1/2",
+            "torus_bundle": False,
+            "limit": "-1/1",
+            "duals": ["1/1", "1/1"],
+            "r1": 0,
+            "r2": 0,
+            "step": "1/2",
+            "rows": CASE2_ROWS,
+            "note": "Case-2 assumption violated (zero-twisting torus exists)",
+            "verdict": "GCS finite",
+        },
+        id="seifert-note",
+    ),
+    pytest.param(
+        ["seifert", "--triple", "(1/3,2/3,-1/2)", "--kmax", "5"],
+        "triple: (1/3, 2/3, -1/2)\n"
+        "normalized: (1/3, 2/3, -1/2)\n"
+        "euler number: 1/2\n"
+        "torus bundle: no\n"
+        "limit slope: -1/1\n"
+        f"note: {EMPTY_FAMILY_NOTE}\n"
+        "verdict: GCS finite\n",
+        {
+            "triple": "(1/3, 2/3, -1/2)",
+            "normalized": "(1/3, 2/3, -1/2)",
+            "euler": "1/2",
+            "torus_bundle": False,
+            "limit": "-1/1",
+            "rows": [],
+            "note": EMPTY_FAMILY_NOTE,
+            "verdict": "GCS finite",
+        },
+        id="seifert-empty-family",
+    ),
+    pytest.param(
+        ["multicurve", "--boundary", "1,1,1", "--allow-boundary-parallel"],
+        "(0,0,0|1,1,1)\n(0,0,2|1,0,0)\n(0,2,0|0,1,0)\n(1,1,1|0,0,0)\n(2,0,0|0,0,1)\ncount: 5\n",
+        {
+            "boundary": "1,1,1",
+            "allow_boundary_parallel": True,
+            "coordinates": [
+                "(0,0,0|1,1,1)",
+                "(0,0,2|1,0,0)",
+                "(0,2,0|0,1,0)",
+                "(1,1,1|0,0,0)",
+                "(2,0,0|0,0,1)",
+            ],
+            "count": 5,
+        },
+        id="multicurve",
+    ),
+    pytest.param(
+        ["multicurve", "--boundary", "1,0,0"],
+        "count: 0\n",
+        {"boundary": "1,0,0", "allow_boundary_parallel": False, "coordinates": [], "count": 0},
+        id="multicurve-none",
+    ),
+]
+
+
+@pytest.fixture
+def golden_dir(tmp_path):
+    for name, doc in GOLDEN_FILES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    return tmp_path
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, text, doc", GOLDEN)
+def test_golden_stdout(golden_dir, capsys, argv, text, doc, fmt):
+    argv = [str(golden_dir / a) if a.endswith(".json") else a for a in argv]
+    assert run(argv + ["--format", fmt]) == 0
+    expected = text if fmt == "text" else json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr() == (expected, "")
