@@ -344,13 +344,22 @@ def surface_to_dict(surface: BranchedSurface) -> dict:
     return doc
 
 
+def _exact(value, kind: type, what: str):
+    """value itself if its type is exactly kind (so true is no integer); else TypeError."""
+    if type(value) is not kind:
+        noun = {bool: "true or false", int: "an integer", dict: "an object"}[kind]
+        raise TypeError(f"{what} must be {noun}, got {type(value).__name__}")
+    return value
+
+
 def surface_from_dict(doc: dict) -> BranchedSurface:
     try:
+        _exact(doc, dict, "top level")
         sectors = tuple(
             SectorRecord(
-                id=str(s["id"]),
-                cusped_euler=int(s.get("cusped_euler", 0)),
-                boundary=bool(s.get("boundary", False)),
+                str(s["id"]),
+                _exact(s.get("cusped_euler", 0), int, f"sector {s['id']!r} cusped_euler"),
+                _exact(s.get("boundary", False), bool, f"sector {s['id']!r} boundary"),
             )
             for s in doc.get("sectors", [])
         )
@@ -365,7 +374,7 @@ def surface_from_dict(doc: dict) -> BranchedSurface:
         annuli = tuple(
             VerticalAnnulus(
                 id=str(a["id"]),
-                degree=int(a["degree"]),
+                degree=_exact(a["degree"], int, f"annulus {a['id']!r} degree"),
                 boundary_classes=tuple(str(t) for t in a["boundary_classes"]),
             )
             for a in doc.get("vertical_annuli", [])
@@ -375,15 +384,41 @@ def surface_from_dict(doc: dict) -> BranchedSurface:
     return BranchedSurface(sectors, curves, boundary, annuli)
 
 
-def load_surface(path: str) -> BranchedSurface:
-    """Read and structurally parse a surface document (no validation)."""
-    with open(path, encoding="utf-8") as handle:
-        return surface_from_dict(json.load(handle))
-
-
 def weights_to_dict(w: WeightFunction) -> dict[str, int]:
     return dict(sorted(w.weights.items()))
 
 
 def weights_from_dict(doc: dict) -> WeightFunction:
-    return WeightFunction({str(k): int(v) for k, v in doc.items()})
+    try:
+        return WeightFunction({str(k): _exact(v, int, f"weight of {k!r}") for k, v in doc.items()})
+    except TypeError as exc:
+        raise ValueError(f"malformed weight document: {exc}") from exc
+
+
+def _read_json(path: str):
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"cannot parse {path}: {exc}") from exc
+
+
+def load_surface(path: str) -> BranchedSurface:
+    """Read, parse and validate a surface document; raises a one-line ValueError."""
+    surface = surface_from_dict(_read_json(path))
+    violations = validate_surface(surface)
+    if violations:
+        raise ValueError(f"invalid surface document {path}: " + "; ".join(violations))
+    return surface
+
+
+def load_weights(path: str) -> WeightFunction:
+    """Read and parse an id->integer weight map; raises a one-line ValueError."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ValueError(f"weight document {path} must be an id->integer map")
+    return weights_from_dict(doc)

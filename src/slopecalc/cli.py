@@ -1,25 +1,27 @@
 """Command-line front end: batch calculator over the core modules.
 
-Exit statuses: 0 success, 1 domain errors (bad input documents, infeasible
-normalization, invalid weights), 2 usage and argument-parse errors.  Reports
-go to stdout as aligned text (default) or JSON (--format json); diagnostics
-go to stderr.  Output is deterministic: identical invocations are
-byte-identical.
+Every subcommand computes one JSON-compatible document.  `run` prints it with
+--format json, or renders it as aligned text (the default) with the
+subcommand's renderer, so both formats report the same values.  Exit
+statuses: 0 success, 1 domain errors (unreadable or malformed input
+documents, infeasible normalization, invalid weights), 2 usage and
+argument-parse errors.  Reports go to stdout, diagnostics to stderr.  Output
+is deterministic: identical invocations are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
 from . import branched_surface as bs
 from . import multicurve as mc
 from . import seifert
+from .branched_surface import load_surface
 from .farey import (
-    FareyError,
-    Slope,
     greatest_neighbor_below,
     intersection_number,
     is_edge,
@@ -30,238 +32,153 @@ from .farey import (
 )
 
 
-def _slope_arg(text: str) -> Slope:
-    try:
-        return parse_slope(text)
-    except FareyError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+def _arg(parse, message: str | None = None):
+    """An argparse type that reports a parse error as a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise argparse.ArgumentTypeError(
+                message.format(text) if message else str(exc)
+            ) from exc
+
+    return convert
 
 
-def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"cannot parse rational {text!r}") from exc
+# action -> (help, slope flags, call).  The document holds the flags and
+# {action: result}; the text is the result.  The lambdas look the Farey
+# functions up when called, so the names stay patchable on this module.
+_FAREY = {
+    "path": (
+        "shortest increasing path",
+        ("from", "to"),
+        lambda a, b: [str(v) for v in shortest_increasing_path(a, b)],
+    ),
+    "successor": ("greatest neighbor above", ("of",), lambda a: str(successor(a))),
+    "mediant": ("Farey subdivision of an edge", ("a", "b"), lambda a, b: str(mediant(a, b))),
+    "edge": ("test the edge relation", ("a", "b"), lambda a, b: is_edge(a, b)),
+    "intersection": (
+        "geometric intersection number",
+        ("a", "b"),
+        lambda a, b: intersection_number(a, b),
+    ),
+    "neighbor": (
+        "greatest neighbor inside (of, upper)",
+        ("of", "upper"),
+        lambda a, b: str(greatest_neighbor_below(a, b)),
+    ),
+}
 
 
-def _triple_arg(text: str) -> seifert.SeifertTriple:
-    try:
-        return seifert.parse_triple(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _boundary_arg(text: str) -> mc.BoundaryData:
-    try:
-        return mc.parse_boundary(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _emit_json(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
-
-
-def load_surface(path: str) -> bs.BranchedSurface:
-    """Load and validate a surface document; raises ValueError with diagnostics."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"cannot parse {path}: {exc}") from exc
-    surface = bs.surface_from_dict(doc)
-    violations = bs.validate_surface(surface)
-    if violations:
-        raise ValueError(
-            f"invalid surface document {path}: " + "; ".join(violations)
-        )
-    return surface
-
-
-def _load_weights(path: str) -> bs.WeightFunction:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"weight document {path} must be an id->integer map")
-    return bs.weights_from_dict(doc)
+def _yes(flag: bool) -> str:
+    return "yes" if flag else "no"
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommands: compute(args) -> document, render(document, args) -> text
 # ---------------------------------------------------------------------------
 
-def _cmd_farey(args) -> int:
-    if args.action == "path":
-        path = shortest_increasing_path(args.start, args.to)
-        if args.format == "json":
-            _emit_json(
-                {"from": str(args.start), "to": str(args.to), "path": [str(v) for v in path]}
-            )
-        else:
-            print(str(path))
-    elif args.action == "successor":
-        value = successor(args.of)
-        if args.format == "json":
-            _emit_json({"of": str(args.of), "successor": str(value)})
-        else:
-            print(value)
-    elif args.action == "mediant":
-        value = mediant(args.a, args.b)
-        if args.format == "json":
-            _emit_json({"a": str(args.a), "b": str(args.b), "mediant": str(value)})
-        else:
-            print(value)
-    elif args.action == "edge":
-        value = is_edge(args.a, args.b)
-        if args.format == "json":
-            _emit_json({"a": str(args.a), "b": str(args.b), "edge": value})
-        else:
-            print("true" if value else "false")
-    elif args.action == "intersection":
-        value = intersection_number(args.a, args.b)
-        if args.format == "json":
-            _emit_json({"a": str(args.a), "b": str(args.b), "intersection": value})
-        else:
-            print(value)
-    else:  # neighbor
-        value = greatest_neighbor_below(args.of, args.upper)
-        if args.format == "json":
-            _emit_json({"of": str(args.of), "upper": str(args.upper), "neighbor": str(value)})
-        else:
-            print(value)
-    return 0
+def _farey(args) -> dict:
+    _, flags, call = _FAREY[args.action]
+    values = [getattr(args, flag) for flag in flags]
+    doc = {flag: str(value) for flag, value in zip(flags, values)}
+    doc[args.action] = call(*values)
+    return doc
 
 
-def _cmd_weights(args) -> int:
+def _farey_text(doc: dict, args) -> str:
+    value = doc[args.action]
+    if isinstance(value, list):
+        return ", ".join(value)
+    return json.dumps(value) if isinstance(value, bool) else str(value)
+
+
+def _solve(args) -> dict:
     surface = load_surface(args.input)
-    if args.action == "solve":
-        positivity = "positive" if args.positive else "nonnegative"
-        solutions = bs.enumerate_weights(surface, args.max, positivity)
-        ids = sorted(set(surface.sector_ids()))
-        if args.format == "json":
-            _emit_json(
-                {
-                    "sectors": ids,
-                    "solutions": [bs.weights_to_dict(w) for w in solutions],
-                    "count": len(solutions),
-                }
-            )
-        else:
-            print("sectors: " + ", ".join(ids))
-            for w in solutions:
-                print("(" + ", ".join(str(w[i]) for i in ids) + ")")
-            print(f"{len(solutions)} solution(s)")
-        return 0
-    w = _load_weights(args.weights)
-    if args.action == "check":
-        valid = bs.check_weights(surface, w)  # raises on domain mismatch
-        if args.format == "json":
-            _emit_json({"valid": valid})
-        else:
-            print("valid" if valid else "invalid")
-        return 0
-    # euler
-    chi = bs.carried_euler(surface, w)  # raises on invalid weights
-    if args.format == "json":
-        _emit_json({"carried_euler": chi})
-    else:
-        print(chi)
-    return 0
+    positivity = "positive" if args.positive else "nonnegative"
+    solutions = bs.enumerate_weights(surface, args.max, positivity)
+    return {
+        "sectors": sorted(set(surface.sector_ids())),
+        "solutions": [bs.weights_to_dict(w) for w in solutions],
+        "count": len(solutions),
+    }
 
 
-def _cmd_amputate(args) -> int:
+def _solve_text(doc: dict, args) -> str:
+    ids = doc["sectors"]
+    return "\n".join(
+        ["sectors: " + ", ".join(ids)]
+        + ["(" + ", ".join(str(w[i]) for i in ids) + ")" for w in doc["solutions"]]
+        + [f"{doc['count']} solution(s)"]
+    )
+
+
+def _check(args) -> dict:
     surface = load_surface(args.input)
-    sector_ids = set(args.sectors.split(","))
-    result = bs.amputate(surface, sector_ids)
-    if args.format == "json":
-        _emit_json(bs.surface_to_dict(result))
-    else:
-        print("sectors: " + (", ".join(result.sector_ids()) or "(none)"))
-        print(
-            "branch curves: "
-            + (
-                ", ".join(f"({c.out1},{c.out2}->{c.inward})" for c in result.branch_curves)
-                or "(none)"
-            )
-        )
-        print(
-            "boundary curves: "
-            + (
-                ", ".join(f"{b.sector}:{b.role}" for b in result.boundary_curves)
-                or "(none)"
-            )
-        )
-    return 0
+    return {"valid": bs.check_weights(surface, bs.load_weights(args.weights))}
 
 
-def _cmd_degree_check(args) -> int:
+def _euler(args) -> dict:
     surface = load_surface(args.input)
-    violations = bs.check_degree_consistency(list(surface.vertical_annuli))
-    if args.format == "json":
-        _emit_json({"annuli": len(surface.vertical_annuli), "violations": violations})
-    else:
-        if violations:
-            for line in violations:
-                print(line)
-        else:
-            print("no violations")
-    return 0
+    return {"carried_euler": bs.carried_euler(surface, bs.load_weights(args.weights))}
 
 
-def _cmd_seifert(args) -> int:
-    report = seifert.analyze(args.triple, args.kmax)
-    if args.format == "json":
-        _emit_json(seifert.report_to_dict(report))
-        return 0
-    print(f"triple: {report.triple}")
-    print(f"normalized: {report.normalized}")
-    print(f"euler number: {report.euler}")
-    print(f"torus bundle: {'yes' if report.torus_bundle else 'no'}")
-    print(f"limit slope: {report.limit}")
-    if report.family is not None:
-        d1, d2 = report.family.duals
-        print(f"duals: {d1}, {d2}")
-        print(f"r1={report.family.r1} r2={report.family.r2} step={report.family.step}")
-    if report.rows:
-        header = f"{'k':>6}  {'k1':>4}  {'k2':>4}  {'s_k':>10}  {'det':>6}  edge  coprime"
-        print(header)
-        for row in report.rows:
-            print(
-                f"{str(row.k):>6}  {row.k1:>4}  {row.k2:>4}  {str(row.s_k):>10}"
-                f"  {row.determinant:>6}  {'yes' if row.edge else 'no':<4}  "
-                f"{'yes' if row.coprime else 'no'}"
-            )
-    if report.note is not None:
-        print(f"note: {report.note}")
-    print(f"verdict: {report.verdict}")
-    return 0
+def _amputate(args) -> dict:
+    surface = load_surface(args.input)
+    return bs.surface_to_dict(bs.amputate(surface, set(args.sectors.split(","))))
 
 
-def _cmd_multicurve(args) -> int:
+def _amputate_text(doc: dict, args) -> str:
+    parts = {
+        "sectors": [s["id"] for s in doc["sectors"]],
+        "branch curves": [f"({c['out1']},{c['out2']}->{c['in']})" for c in doc["branch_curves"]],
+        "boundary curves": [f"{b['sector']}:{b['role']}" for b in doc.get("boundary_curves", [])],
+    }
+    return "\n".join(f"{k}: " + (", ".join(v) or "(none)") for k, v in parts.items())
+
+
+def _degree_check(args) -> dict:
+    annuli = load_surface(args.input).vertical_annuli
+    return {"annuli": len(annuli), "violations": bs.check_degree_consistency(list(annuli))}
+
+
+def _seifert(args) -> dict:
+    return seifert.report_to_dict(seifert.analyze(args.triple, args.kmax))
+
+
+def _seifert_text(doc: dict, args) -> str:
+    lines = [
+        f"triple: {doc['triple']}",
+        f"normalized: {doc['normalized']}",
+        f"euler number: {doc['euler']}",
+        f"torus bundle: {_yes(doc['torus_bundle'])}",
+        f"limit slope: {doc['limit']}",
+    ]
+    if "duals" in doc:
+        lines.append("duals: " + ", ".join(doc["duals"]))
+        lines.append(f"r1={doc['r1']} r2={doc['r2']} step={doc['step']}")
+    if doc["rows"]:
+        lines.append(f"{'k':>6}  {'k1':>4}  {'k2':>4}  {'s_k':>10}  {'det':>6}  edge  coprime")
+        lines += [
+            f"{r['k']:>6}  {r['k1']:>4}  {r['k2']:>4}  {r['s_k']:>10}"
+            f"  {r['determinant']:>6}  {_yes(r['edge']):<4}  {_yes(r['coprime'])}"
+            for r in doc["rows"]
+        ]
+    if "note" in doc:
+        lines.append(f"note: {doc['note']}")
+    lines.append(f"verdict: {doc['verdict']}")
+    return "\n".join(lines)
+
+
+def _multicurve(args) -> dict:
     solutions = mc.enumerate_multicurves(args.boundary, args.allow_boundary_parallel)
-    if args.format == "json":
-        _emit_json(
-            {
-                "boundary": str(args.boundary),
-                "allow_boundary_parallel": args.allow_boundary_parallel,
-                "coordinates": [str(m) for m in solutions],
-                "count": len(solutions),
-            }
-        )
-    else:
-        for m in solutions:
-            print(m)
-        print(f"count: {len(solutions)}")
-    return 0
+    return {
+        "boundary": str(args.boundary),
+        "allow_boundary_parallel": args.allow_boundary_parallel,
+        "coordinates": [str(m) for m in solutions],
+        "count": len(solutions),
+    }
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -271,82 +188,69 @@ def build_parser() -> argparse.ArgumentParser:
         "systems, small-Seifert slope analysis and multicurve enumeration.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    leaves = []
 
-    def add_format(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("text", "json"), default="text")
+    def leaf(group, name: str, help: str, compute, render) -> argparse.ArgumentParser:
+        p = group.add_parser(name, help=help)
+        p.set_defaults(compute=compute, render=render)
+        leaves.append(p)
+        return p
 
-    farey_p = sub.add_parser("farey", help="Farey tessellation queries")
-    farey_sub = farey_p.add_subparsers(dest="action", required=True)
-    p = farey_sub.add_parser("path", help="shortest increasing path")
-    p.add_argument("--from", dest="start", type=_slope_arg, required=True)
-    p.add_argument("--to", type=_slope_arg, required=True)
-    add_format(p)
-    p = farey_sub.add_parser("successor", help="greatest neighbor above")
-    p.add_argument("--of", type=_slope_arg, required=True)
-    add_format(p)
-    p = farey_sub.add_parser("mediant", help="Farey subdivision of an edge")
-    p.add_argument("--a", type=_slope_arg, required=True)
-    p.add_argument("--b", type=_slope_arg, required=True)
-    add_format(p)
-    p = farey_sub.add_parser("edge", help="test the edge relation")
-    p.add_argument("--a", type=_slope_arg, required=True)
-    p.add_argument("--b", type=_slope_arg, required=True)
-    add_format(p)
-    p = farey_sub.add_parser("intersection", help="geometric intersection number")
-    p.add_argument("--a", type=_slope_arg, required=True)
-    p.add_argument("--b", type=_slope_arg, required=True)
-    add_format(p)
-    p = farey_sub.add_parser("neighbor", help="greatest neighbor inside (of, upper)")
-    p.add_argument("--of", type=_slope_arg, required=True)
-    p.add_argument("--upper", type=_slope_arg, required=True)
-    add_format(p)
+    farey_sub = sub.add_parser("farey", help="Farey tessellation queries").add_subparsers(
+        dest="action", required=True
+    )
+    slope = _arg(parse_slope)
+    for action, (help, flags, _) in _FAREY.items():
+        p = leaf(farey_sub, action, help, _farey, _farey_text)
+        for flag in flags:
+            metavar = "START" if flag == "from" else None
+            p.add_argument(f"--{flag}", type=slope, required=True, metavar=metavar)
 
-    weights_p = sub.add_parser("weights", help="weight systems on branched surfaces")
-    weights_sub = weights_p.add_subparsers(dest="action", required=True)
-    p = weights_sub.add_parser("solve", help="enumerate valid weight functions")
+    weights_sub = sub.add_parser("weights", help="weight systems on branched surfaces")
+    weights_sub = weights_sub.add_subparsers(dest="action", required=True)
+    p = leaf(weights_sub, "solve", "enumerate valid weight functions", _solve, _solve_text)
     p.add_argument("--input", required=True, help="surface document (JSON)")
     p.add_argument("--max", type=int, required=True, help="largest weight to consider")
     p.add_argument("--positive", action="store_true", help="require weights >= 1")
-    add_format(p)
-    p = weights_sub.add_parser("check", help="check the branch equations")
+    p = leaf(
+        weights_sub, "check", "check the branch equations", _check,
+        lambda doc, args: "valid" if doc["valid"] else "invalid",
+    )
     p.add_argument("--input", required=True)
     p.add_argument("--weights", required=True, help="id->integer map (JSON)")
-    add_format(p)
-    p = weights_sub.add_parser("euler", help="carried-surface Euler characteristic")
+    p = leaf(
+        weights_sub, "euler", "carried-surface Euler characteristic", _euler,
+        lambda doc, args: str(doc["carried_euler"]),
+    )
     p.add_argument("--input", required=True)
     p.add_argument("--weights", required=True)
-    add_format(p)
 
-    p = sub.add_parser("amputate", help="remove sectors from a branched surface")
+    p = leaf(sub, "amputate", "remove sectors from a branched surface", _amputate, _amputate_text)
     p.add_argument("--input", required=True)
     p.add_argument("--sectors", required=True, help="comma-separated sector ids")
-    add_format(p)
 
-    p = sub.add_parser("degree-check", help="degree dichotomy over vertical annuli")
+    p = leaf(
+        sub, "degree-check", "degree dichotomy over vertical annuli", _degree_check,
+        lambda doc, args: "\n".join(doc["violations"]) or "no violations",
+    )
     p.add_argument("--input", required=True)
-    add_format(p)
 
-    p = sub.add_parser("seifert", help="small-Seifert slope analysis")
-    p.add_argument("--triple", type=_triple_arg, required=True)
-    p.add_argument("--kmax", type=_fraction_arg, default=Fraction(5))
-    add_format(p)
+    p = leaf(sub, "seifert", "small-Seifert slope analysis", _seifert, _seifert_text)
+    p.add_argument("--triple", type=_arg(seifert.parse_triple), required=True)
+    p.add_argument(
+        "--kmax", type=_arg(Fraction, "cannot parse rational {!r}"), default=Fraction(5)
+    )
 
-    p = sub.add_parser("multicurve", help="multicurves on the 3-punctured sphere")
-    p.add_argument("--boundary", type=_boundary_arg, required=True, help="k1,k2,k3")
+    p = leaf(
+        sub, "multicurve", "multicurves on the 3-punctured sphere", _multicurve,
+        lambda doc, args: "\n".join(doc["coordinates"] + [f"count: {doc['count']}"]),
+    )
+    p.add_argument("--boundary", type=_arg(mc.parse_boundary), required=True, help="k1,k2,k3")
     p.add_argument("--allow-boundary-parallel", action="store_true")
-    add_format(p)
 
+    for p in leaves:
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
-
-
-_HANDLERS = {
-    "farey": _cmd_farey,
-    "weights": _cmd_weights,
-    "amputate": _cmd_amputate,
-    "degree-check": _cmd_degree_check,
-    "seifert": _cmd_seifert,
-    "multicurve": _cmd_multicurve,
-}
 
 
 def run(argv: list[str]) -> int:
@@ -356,10 +260,21 @@ def run(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        doc = args.compute(args)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        text = json.dumps(doc, indent=2, sort_keys=True)
+    else:
+        text = args.render(doc, args)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader went away: silence the interpreter's final flush too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 def main() -> None:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slopecalc
 from slopecalc import Slope, amputate, parse_slope
 from slopecalc.branched_surface import surface_from_dict
 from slopecalc.cli import load_surface, run
@@ -125,6 +130,42 @@ class TestSurfaceLoading:
         path.write_text(json.dumps({"sectors": [], "branch_curves": []}))
         assert load_surface(str(path)).is_empty()
 
+    @staticmethod
+    def one_line_error(argv, capsys):
+        assert run(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_top_level_array_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([SIMPLE_DOC]))
+        err = self.one_line_error(["degree-check", "--input", str(path)], capsys)
+        assert "top level must be an object, got list" in err
+
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_boundary_must_be_boolean(self, tmp_path, capsys, value):
+        path = tmp_path / "surf.json"
+        path.write_text(json.dumps({"sectors": [{"id": "A", "boundary": value}]}))
+        err = self.one_line_error(["degree-check", "--input", str(path)], capsys)
+        assert "sector 'A' boundary must be true or false" in err
+
+    @pytest.mark.parametrize("value", [1.9, 1.5, "2", True])
+    @pytest.mark.parametrize("field", ["cusped_euler", "degree", "weight"])
+    def test_integers_are_not_coerced(self, surface_file, tmp_path, capsys, field, value):
+        path = tmp_path / "doc.json"
+        if field == "weight":
+            path.write_text(json.dumps({"A": value, "B": 1, "C": 2}))
+            argv = ["weights", "check", "--input", surface_file, "--weights", str(path)]
+        else:
+            sector = {"id": "A", "cusped_euler": 0}
+            annulus = {"id": "V", "degree": 1, "boundary_classes": ["disk-bounding"] * 2}
+            (sector if field == "cusped_euler" else annulus)[field] = value
+            path.write_text(json.dumps({"sectors": [sector], "vertical_annuli": [annulus]}))
+            argv = ["degree-check", "--input", str(path)]
+        assert "must be an integer" in self.one_line_error(argv, capsys)
+
 
 class TestAmputateCommand:
     def test_json_output_reloadable(self, surface_file, tmp_path, capsys):
@@ -203,6 +244,19 @@ class TestMulticurveCommand:
 
 
 class TestContract:
+    def test_closed_stdout_exits_without_traceback(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(slopecalc.__file__).parents[1]))
+        argv = ["multicurve", "--boundary", "30,30,30", "--allow-boundary-parallel"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "slopecalc.cli", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert proc.stdout.readline() == b"(0,0,0|30,30,30)\n"
+        proc.stdout.close()  # like `| head -1`
+        assert proc.wait(timeout=60) != 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
     def test_unknown_flag_exits_two(self):
         assert run(["farey", "path", "--from", "1/2", "--to", "inf", "--bogus"]) == 2
 
