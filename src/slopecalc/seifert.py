@@ -270,7 +270,7 @@ def is_torus_bundle(t: SeifertTriple) -> bool:
     """Whether sum 1/a_i = 1, the elliptic-torus-bundle condition.
 
     When it holds, the equivalent identity (a1*a2 - a1 - a2) * a3 = a1*a2 is
-    asserted as a consistency check.
+    checked for consistency.
     """
     a1, a2, a3 = t.alphas
     if min(a1, a2, a3) < 2:
@@ -278,8 +278,8 @@ def is_torus_bundle(t: SeifertTriple) -> bool:
             f"torus-bundle test requires multiplicities >= 2, got {t.alphas}"
         )
     bundle = Fraction(1, a1) + Fraction(1, a2) + Fraction(1, a3) == 1
-    if bundle:
-        assert (a1 * a2 - a1 - a2) * a3 == a1 * a2
+    if bundle and (a1 * a2 - a1 - a2) * a3 != a1 * a2:
+        raise AssertionError(f"torus-bundle identity fails for {t}")
     return bundle
 
 
