@@ -4,13 +4,16 @@ Nothing here shares an algorithm with the package: the successor oracle
 maximizes over a denominator sweep, the neighbor oracle scans every fraction
 in a window, the path oracle runs breadth-first search on the
 bounded-denominator Farey graph, and the weight / multicurve oracles grid the
-full search space.  Each oracle takes an explicit bound (default 1000) and
+full search space, and the Seifert row oracle evaluates the displayed s_k
+formulas in Fraction arithmetic over duals taken from the successor oracle.
+Each oracle takes an explicit bound (default 1000) and
 raises OracleBoundError when the bound is provably insufficient.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from math import ceil, floor, gcd
 
 from slopecalc import Slope
@@ -128,6 +131,58 @@ def bfs_path_length(
                 dist[y] = d + 1
                 queue.append(y)
     raise OracleBoundError(f"no path within denominator bound {bound}")
+
+
+def seifert_rows_oracle(triple, k_max) -> list[tuple]:
+    """Evidence rows (k, k1, k2, s_k, determinant, edge, coprime) for k <= k_max.
+
+    The triple is shifted into 0 < b1/a1, b2/a2 < 1 with the integer parts
+    moved onto b3/a3; r1 is the least value in range(a2 // g) solving
+    r1*a1 + a1' = 0 (mod a2), and each row is the displayed formulas for k1,
+    k2 and s_k evaluated in Fraction arithmetic.  s_k is a reduced Fraction.
+    """
+    s1, s2, s3 = (Fraction(s.numerator, s.denominator) for s in triple.invariants)
+    shift = floor(s1) + floor(s2)
+    s1, s2, s3 = s1 - floor(s1), s2 - floor(s2), s3 + shift
+    (b1, a1), (b2, a2), (b3, a3) = (
+        (s.numerator, s.denominator) for s in (s1, s2, s3)
+    )
+    d1 = successor_oracle(Slope(b1, a1))
+    d2 = successor_oracle(Slope(b2, a2))
+    (bp1, ap1), (bp2, ap2) = (d1.numerator, d1.denominator), (d2.numerator, d2.denominator)
+    g = gcd(a1, a2)
+    solutions = [r for r in range(a2 // g) if (r * a1 + ap1 - ap2) % a2 == 0]
+    if not solutions:
+        return []
+    r1 = solutions[0]
+    r2 = (r1 * a1 + ap1 - ap2) // a2
+    rows = []
+    k = Fraction(0)
+    while k <= k_max:
+        k1, k2 = k * a2 + r1, k * a1 + r2
+        if k1.denominator != 1 or k2.denominator != 1:
+            raise ValueError(f"non-integer (k1, k2) at k = {k}")
+        num = 1 - (k1 * b1 + bp1) - (k2 * b2 + bp2)
+        den = k1 * a1 + ap1
+        if den != k2 * a2 + ap2:
+            raise ValueError(f"the two s_k denominators differ at k = {k}")
+        s_k = Fraction(int(num), int(den))
+        edge = s3 < s_k and abs(
+            s_k.numerator * s3.denominator - s3.numerator * s_k.denominator
+        ) == 1
+        rows.append(
+            (
+                k,
+                int(k1),
+                int(k2),
+                s_k,
+                int(a3 * num - b3 * den),
+                edge,
+                gcd(abs(int(num)), int(den)) == 1,
+            )
+        )
+        k += Fraction(1, g)
+    return rows
 
 
 def grid_weight_solutions(surface, max_weight: int, positivity: str) -> list[dict[str, int]]:

@@ -34,7 +34,7 @@ from slopecalc.seifert import (
     report_to_dict,
 )
 
-from oracles import successor_oracle
+from oracles import seifert_rows_oracle, successor_oracle
 
 
 def triple(*fracs):
@@ -51,7 +51,7 @@ TORUS_BUNDLES = [
 ]
 
 
-def random_normalized(rng, alpha_max=12):
+def random_normalized(rng, alpha_max=12, alphas=None):
     """Random triple satisfying the normalization inequalities."""
     def coprime_pick(a, lo, hi):
         while True:
@@ -59,11 +59,33 @@ def random_normalized(rng, alpha_max=12):
             if gcd(abs(b), a) == 1:
                 return b
 
-    a1, a2, a3 = (rng.randint(2, alpha_max) for _ in range(3))
+    a1, a2, a3 = alphas or (rng.randint(2, alpha_max) for _ in range(3))
     b1 = coprime_pick(a1, 1, a1 - 1)
     b2 = coprime_pick(a2, 1, a2 - 1)
     b3 = coprime_pick(a3, -2 * a3 + 1, -1)
     return SeifertTriple((Slope(b1, a1), Slope(b2, a2), Slope(b3, a3)))
+
+
+def random_case(rng, case):
+    """A normalized triple with e != 0 ("nonzero"), a torus bundle ("bundle"),
+    or e = 0 off the bundles ("edge-fails")."""
+    while True:
+        alphas = None
+        if case == "bundle":
+            alphas = list(rng.choice([(2, 3, 6), (2, 4, 4), (3, 3, 3)]))
+            rng.shuffle(alphas)
+        t = random_normalized(rng, alphas=alphas)
+        if case == "nonzero":
+            if euler_number(t) != 0:
+                return t
+            continue
+        s1, s2 = t.invariants[:2]
+        third = -(s1.as_fraction() + s2.as_fraction())
+        if third.denominator < 2:
+            continue
+        t = SeifertTriple((s1, s2, Slope(third.numerator, third.denominator)))
+        if is_torus_bundle(t) == (case == "bundle"):
+            return t
 
 
 class TestParsing:
@@ -345,6 +367,34 @@ class TestRelPrimeAndEdge:
         assert not check_edge_to_sk(fam, 40)
         fam = gcs_family(triple("2/5", "3/7", "-1/2"))
         assert any(not check_edge_to_sk(fam, m * fam.step) for m in range(2, 40))
+
+
+class TestRowOracle:
+    def test_rows_match_displayed_formulas(self):
+        # shifted copies exercise normalization; k_max runs over [-1, 20]
+        rng = random.Random(44)
+        verdicts = set()
+        for i in range(200):
+            t = random_case(rng, ("nonzero", "bundle", "edge-fails")[i % 3])
+            s1, s2, s3 = t.invariants
+            m1, m2 = rng.randint(-2, 2), rng.randint(-2, 2)
+            shifted = SeifertTriple(
+                (
+                    Slope(s1.numerator + m1 * s1.denominator, s1.denominator),
+                    Slope(s2.numerator + m2 * s2.denominator, s2.denominator),
+                    Slope(s3.numerator - (m1 + m2) * s3.denominator, s3.denominator),
+                )
+            )
+            k_max = Fraction(rng.randint(-6, 120), rng.randint(1, 6))
+            k_max = min(max(k_max, Fraction(-1)), Fraction(20))
+            report = analyze(shifted, k_max)
+            verdicts.add(report.verdict)
+            got = [
+                (r.k, r.k1, r.k2, r.s_k.as_fraction(), r.determinant, r.edge, r.coprime)
+                for r in report.rows
+            ]
+            assert got == seifert_rows_oracle(shifted, k_max), (shifted, k_max)
+        assert verdicts == {VERDICT_FINITE, VERDICT_TORUS_BUNDLE, VERDICT_EDGE_FAILS}
 
 
 class TestTorusBundle:
