@@ -16,11 +16,7 @@ from .branched_surface import (
     check_degree_consistency,
     check_weights,
     enumerate_weights,
-    is_boundary_free,
-    is_sufficiently_positive,
     scale_weights,
-    sup_exceeds,
-    tangency_count,
     validate_surface,
 )
 from .farey import (
@@ -42,7 +38,6 @@ from .farey import (
 from .multicurve import (
     BoundaryData,
     MulticurveCoordinates,
-    count_multicurves,
     enumerate_multicurves,
     is_tight_candidate,
 )
@@ -56,18 +51,14 @@ from .seifert import (
     NormalizationError,
     SeifertTriple,
     analyze,
-    check_edge_to_sk,
-    check_rel_prime,
     dual_invariants,
     euler_number,
-    gcs_determinant,
+    evidence,
     gcs_family,
     is_torus_bundle,
     limit_slope,
     normalize,
     parse_triple,
-    slope_sk,
-    slope_sk_unreduced,
 )
 
 __version__ = "0.1.0"

@@ -66,8 +66,11 @@ class VerticalAnnulus:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise ValueError(f"annulus {self.id}: negative degree {self.degree}")
-        object.__setattr__(self, "boundary_classes", tuple(self.boundary_classes))
-        for tag in self.boundary_classes:
+        classes = tuple(self.boundary_classes)
+        object.__setattr__(self, "boundary_classes", classes)
+        if len(classes) != 2:
+            raise ValueError(f"annulus {self.id}: needs two boundary classes, got {len(classes)}")
+        for tag in classes:
             if tag not in BOUNDARY_CLASSES:
                 raise ValueError(f"annulus {self.id}: unknown boundary class {tag!r}")
 
@@ -282,41 +285,6 @@ def check_degree_consistency(records: list[VerticalAnnulus]) -> list[str]:
     return violations
 
 
-def tangency_count(annulus: VerticalAnnulus) -> int:
-    """Contact tangencies along each boundary circle: exactly 2 * degree.
-
-    Also the upper bound for the number of Reeb components in the degree
-    argument.
-    """
-    return 2 * annulus.degree
-
-
-def is_boundary_free(surface: BranchedSurface) -> bool:
-    """Whether no sector touches the boundary and no boundary curves remain."""
-    return not surface.boundary_curves and not any(s.boundary for s in surface.sectors)
-
-
-def is_sufficiently_positive(w: WeightFunction, threshold: int) -> bool:
-    """Whether every weight strictly exceeds the threshold."""
-    return all(v > threshold for v in w.weights.values())
-
-
-def sup_exceeds(
-    surface: BranchedSurface, weight_functions: list[WeightFunction], threshold: int
-) -> bool:
-    """Whether, on every sector, some supplied weight function exceeds threshold.
-
-    Finite stand-in for an unbounded-supremum condition: the sup over the
-    supplied family must exceed the threshold sector by sector.
-    """
-    for w in weight_functions:
-        _require_domain(surface, w)
-    return all(
-        any(w[sid] > threshold for w in weight_functions)
-        for sid in surface.sector_ids()
-    )
-
-
 # ---------------------------------------------------------------------------
 # Serialization: JSON-compatible documents
 # ---------------------------------------------------------------------------
@@ -347,7 +315,9 @@ def surface_to_dict(surface: BranchedSurface) -> dict:
 def _exact(value, kind: type, what: str):
     """value itself if its type is exactly kind (so true is no integer); else TypeError."""
     if type(value) is not kind:
-        noun = {bool: "true or false", int: "an integer", dict: "an object"}[kind]
+        noun = {
+            bool: "true or false", int: "an integer", dict: "an object", str: "a string"
+        }[kind]
         raise TypeError(f"{what} must be {noun}, got {type(value).__name__}")
     return value
 
@@ -357,23 +327,27 @@ def surface_from_dict(doc: dict) -> BranchedSurface:
         _exact(doc, dict, "top level")
         sectors = tuple(
             SectorRecord(
-                str(s["id"]),
+                _exact(s["id"], str, "sector id"),
                 _exact(s.get("cusped_euler", 0), int, f"sector {s['id']!r} cusped_euler"),
                 _exact(s.get("boundary", False), bool, f"sector {s['id']!r} boundary"),
             )
             for s in doc.get("sectors", [])
         )
         curves = tuple(
-            BranchCurve(out1=str(c["out1"]), out2=str(c["out2"]), inward=str(c["in"]))
+            BranchCurve(
+                *(_exact(c[key], str, f"branch curve {key}") for key in ("out1", "out2", "in"))
+            )
             for c in doc.get("branch_curves", [])
         )
         boundary = tuple(
-            BoundaryCurve(sector=str(b["sector"]), role=str(b["role"]))
+            BoundaryCurve(
+                sector=_exact(b["sector"], str, "boundary curve sector"), role=str(b["role"])
+            )
             for b in doc.get("boundary_curves", [])
         )
         annuli = tuple(
             VerticalAnnulus(
-                id=str(a["id"]),
+                id=_exact(a["id"], str, "annulus id"),
                 degree=_exact(a["degree"], int, f"annulus {a['id']!r} degree"),
                 boundary_classes=tuple(str(t) for t in a["boundary_classes"]),
             )

@@ -188,10 +188,6 @@ class FareyPath:
         return ", ".join(str(v) for v in self.vertices)
 
 
-def parse_path(text: str) -> FareyPath:
-    return FareyPath(tuple(parse_slope(part) for part in text.split(",")))
-
-
 def shortest_increasing_path(start: Slope, to: Slope) -> FareyPath:
     """The shortest strictly increasing edge path from start to to.
 

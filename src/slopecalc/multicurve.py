@@ -46,10 +46,8 @@ def parse_boundary(text: str) -> BoundaryData:
 class MulticurveCoordinates:
     """Arc weights of a multicurve, up to non-relative isotopy.
 
-    Relative classes differ from these by Dehn twists along the boundary;
-    that residual freedom can be pinned with the optional twist attachment,
-    which enumeration never ranges over (it is infinite) and serialization
-    ignores.
+    Relative classes differ from these by Dehn twists along the boundary,
+    which the coordinates do not record.
     """
 
     n12: int
@@ -58,13 +56,10 @@ class MulticurveCoordinates:
     b1: int
     b2: int
     b3: int
-    twists: tuple[int, int, int] | None = None
 
     def __post_init__(self) -> None:
         if min(self.n12, self.n13, self.n23, self.b1, self.b2, self.b3) < 0:
             raise ValueError("arc weights must be nonnegative")
-        if self.twists is not None:
-            object.__setattr__(self, "twists", tuple(self.twists))
 
     def satisfies(self, bd: BoundaryData) -> bool:
         return (
@@ -118,7 +113,3 @@ def enumerate_multicurves(
 def is_tight_candidate(m: MulticurveCoordinates) -> bool:
     """No boundary-parallel arcs; the coordinate model already bars closed curves."""
     return m.b1 == 0 and m.b2 == 0 and m.b3 == 0
-
-
-def count_multicurves(bd: BoundaryData, allow_boundary_parallel: bool) -> int:
-    return len(enumerate_multicurves(bd, allow_boundary_parallel))

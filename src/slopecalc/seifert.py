@@ -8,9 +8,10 @@ positive denominators.  After normalization (0 < b1/a1, b2/a2 < 1 and
   - the dual invariants b_i'/a_i' (the Farey successor of each meridian),
   - the one-parameter solution family of k1*a1 + a1' = k2*a2 + a2', stepping
     by 1/gcd(a1, a2) from a particular solution with r1 minimal nonnegative,
-  - the boundary slope s_k for each admissible k, presented as the unreduced
-    integer pair so that the determinant against (a3, b3) and the coprimality
-    of the pair are meaningful,
+  - one evidence row per admissible k, all computed by the single row
+    function `evidence` in integer arithmetic: (k1, k2), the boundary slope
+    s_k as the unreduced integer pair, its determinant against (a3, b3), the
+    Farey edge check to b3/a3 and the coprimality of the pair,
   - the limit slope s = -b1/a1 - b2/a2 the s_k descend to,
   - the torus-bundle test sum 1/a_i = 1, equivalently
     (a1*a2 - a1 - a2) * a3 = a1*a2.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from .farey import (
     Slope,
@@ -62,7 +63,7 @@ class ConventionInfeasible(NormalizationError):
 
 
 class InadmissibleK(ValueError):
-    """k is negative, off the step lattice, or yields non-integer k1, k2."""
+    """k is negative or not a multiple of the family step."""
 
 
 @dataclass(frozen=True)
@@ -184,50 +185,57 @@ def gcs_family(t: SeifertTriple) -> GcsFamily | None:
     return GcsFamily(base=t, duals=(d1, d2), r1=r1, r2=r2, step=Fraction(1, g))
 
 
-def admissible_pair(family: GcsFamily, k: Fraction | int) -> tuple[int, int]:
-    """The integers (k1, k2) for an admissible k; raises InadmissibleK otherwise."""
-    k = Fraction(k)
-    if k < 0 or (k / family.step).denominator != 1:
-        raise InadmissibleK(f"k = {k} is not a nonnegative multiple of {family.step}")
-    a1, a2, _ = family.base.alphas
-    k1 = k * a2 + family.r1
-    k2 = k * a1 + family.r2
-    if k1.denominator != 1 or k2.denominator != 1:
-        raise InadmissibleK(f"k = {k} yields non-integer (k1, k2) = ({k1}, {k2})")
-    return int(k1), int(k2)
+@dataclass(frozen=True)
+class KEvidence:
+    """One audited row of the analysis: the checks at a single admissible k."""
+
+    k: Fraction
+    k1: int
+    k2: int
+    s_k: Slope
+    determinant: int
+    edge: bool
+    coprime: bool
 
 
-def slope_sk_unreduced(family: GcsFamily, k: Fraction | int) -> tuple[int, int]:
-    """The boundary slope at k as the unreduced pair (numerator, denominator).
+def evidence(family: GcsFamily, k: Fraction | int) -> KEvidence:
+    """The evidence row at an admissible k; raises InadmissibleK otherwise.
 
-    Both displayed presentations are computed and must agree: the direct form
-    (1 - (k1*b1 + b1') - (k2*b2 + b2')) / (k1*a1 + a1') and the k-expanded
-    form, whose denominator must also match k2*a2 + a2'.  Determinant and
-    coprimality checks are made on this pair, not on the reduced fraction.
+    Integer arithmetic in m = k*g, g = gcd(a1, a2): k1 = m*(a2/g) + r1,
+    k2 = m*(a1/g) + r2, and s_k is the unreduced pair of the direct form
+    (1 - (k1*b1 + b1') - (k2*b2 + b2')) / (k1*a1 + a1'), which must agree with
+    the k-expanded form and with the denominator k2*a2 + a2'.  The determinant
+    a3*num - b3*den (constant in k exactly when e = 0, otherwise moving by
+    -a1*a2*a3*e per unit of k) and the coprimality are taken on that pair.
     """
-    k1, k2 = admissible_pair(family, k)
     k = Fraction(k)
-    (b1, a1), (b2, a2) = (
-        (s.numerator, s.denominator) for s in family.base.invariants[:2]
-    )
-    (bp1, ap1), (bp2, ap2) = (
-        (s.numerator, s.denominator) for s in family.duals
-    )
+    g = family.step.denominator
+    if k.numerator < 0 or g % k.denominator:
+        raise InadmissibleK(f"k = {k} is not a nonnegative multiple of {family.step}")
+    m = k.numerator * (g // k.denominator)
+    b1, b2, b3 = family.base.betas
+    a1, a2, a3 = family.base.alphas
+    (bp1, ap1), (bp2, ap2) = ((s.numerator, s.denominator) for s in family.duals)
+    r1, r2 = family.r1, family.r2
+    k1 = m * (a2 // g) + r1
+    k2 = m * (a1 // g) + r2
     num = 1 - (k1 * b1 + bp1) - (k2 * b2 + bp2)
     den = k1 * a1 + ap1
-    expanded_num = k * (-a2 * b1 - a1 * b2) + (1 - family.r1 * b1 - bp1 - family.r2 * b2 - bp2)
-    expanded_den = k * (a1 * a2) + family.r1 * a1 + ap1
-    if expanded_num != num or expanded_den != den:
+    expanded_num = m * ((-a2 * b1 - a1 * b2) // g) + (1 - r1 * b1 - bp1 - r2 * b2 - bp2)
+    expanded_den = m * (a1 * a2 // g) + r1 * a1 + ap1
+    if (expanded_num, expanded_den) != (num, den) or den != k2 * a2 + ap2:
         raise AssertionError(f"s_k presentations disagree at k = {k}")
-    if den != k2 * a2 + ap2:
-        raise AssertionError(f"s_k denominators disagree at k = {k}")
-    return num, den
-
-
-def slope_sk(family: GcsFamily, k: Fraction | int) -> Slope:
-    """The boundary slope s_k in lowest terms."""
-    num, den = slope_sk_unreduced(family, k)
-    return Slope(num, den)
+    s_k = Slope(num, den)
+    s3 = family.base.invariants[2]
+    return KEvidence(
+        k=k,
+        k1=k1,
+        k2=k2,
+        s_k=s_k,
+        determinant=a3 * num - b3 * den,
+        edge=s3 < s_k and is_edge(s3, s_k),
+        coprime=gcd(abs(num), den) == 1,
+    )
 
 
 def limit_slope(t: SeifertTriple) -> Slope:
@@ -236,34 +244,6 @@ def limit_slope(t: SeifertTriple) -> Slope:
         raise ValueError(f"limit slope requires a normalized triple, got {t}")
     s1, s2 = t.invariants[0], t.invariants[1]
     return Slope.from_fraction(-s1.as_fraction() - s2.as_fraction())
-
-
-def gcs_determinant(family: GcsFamily, k: Fraction | int) -> int:
-    """det of (a3, b3) against the unreduced s_k pair: a3*num - b3*den.
-
-    Constant in k exactly when e = 0; otherwise moves by -a1*a2*a3*e per unit
-    of k.
-    """
-    num, den = slope_sk_unreduced(family, k)
-    s3 = family.base.invariants[2]
-    return s3.denominator * num - s3.numerator * den
-
-
-def check_rel_prime(family: GcsFamily, k: Fraction | int) -> bool:
-    """Whether the unreduced s_k numerator and denominator are coprime.
-
-    Forced whenever |gcs_determinant| = 1, since a common factor would divide
-    the determinant.
-    """
-    num, den = slope_sk_unreduced(family, k)
-    return gcd(abs(num), den) == 1
-
-
-def check_edge_to_sk(family: GcsFamily, k: Fraction | int) -> bool:
-    """Whether s_k > b3/a3 and the two span a Farey edge."""
-    sk = slope_sk(family, k)
-    s3 = family.base.invariants[2]
-    return s3 < sk and is_edge(s3, sk)
 
 
 def is_torus_bundle(t: SeifertTriple) -> bool:
@@ -281,19 +261,6 @@ def is_torus_bundle(t: SeifertTriple) -> bool:
     if bundle and (a1 * a2 - a1 - a2) * a3 != a1 * a2:
         raise AssertionError(f"torus-bundle identity fails for {t}")
     return bundle
-
-
-@dataclass(frozen=True)
-class KEvidence:
-    """One audited row of the analysis: the checks at a single admissible k."""
-
-    k: Fraction
-    k1: int
-    k2: int
-    s_k: Slope
-    determinant: int
-    edge: bool
-    coprime: bool
 
 
 @dataclass(frozen=True)
@@ -325,31 +292,16 @@ def analyze(t: SeifertTriple, k_max: Fraction | int) -> AnalysisReport:
     s3 = normalized.invariants[2]
     family = gcs_family(normalized)
 
-    rows = []
+    if e == 0 and limit != s3:
+        # Each row's determinant is det = a3*num - b3*den, so det / (a3*den)
+        # is s_k - b3/a3 by definition; the descent identity
+        # s_k - limit = det / (a3*den) therefore holds on every row exactly
+        # when limit == b3/a3.
+        raise AssertionError(f"descent identity fails: limit {limit} is not b3/a3 = {s3}")
+    rows = ()
     if family is not None:
-        k = Fraction(0)
-        while k <= k_max:
-            num, den = slope_sk_unreduced(family, k)
-            k1, k2 = admissible_pair(family, k)
-            det = family.base.invariants[2].denominator * num - family.base.invariants[2].numerator * den
-            sk = Slope(num, den)
-            rows.append(
-                KEvidence(
-                    k=k,
-                    k1=k1,
-                    k2=k2,
-                    s_k=sk,
-                    determinant=det,
-                    edge=s3 < sk and is_edge(s3, sk),
-                    coprime=gcd(abs(num), den) == 1,
-                )
-            )
-            if e == 0:
-                # descent identity: s_k - s = D / (a3 * den(s_k)), unreduced den
-                drop = sk.as_fraction() - limit.as_fraction()
-                if drop != Fraction(det, s3.denominator * den):
-                    raise AssertionError(f"descent identity fails at k = {k}")
-            k += family.step
+        g = family.step.denominator
+        rows = tuple(evidence(family, Fraction(m, g)) for m in range(floor(k_max * g) + 1))
 
     note = None
     if family is None:
@@ -371,7 +323,7 @@ def analyze(t: SeifertTriple, k_max: Fraction | int) -> AnalysisReport:
         torus_bundle=bundle,
         limit=limit,
         family=family,
-        rows=tuple(rows),
+        rows=rows,
         verdict=verdict,
         note=note,
     )

@@ -6,8 +6,8 @@ in a window, the path oracle runs breadth-first search on the
 bounded-denominator Farey graph, and the weight / multicurve oracles grid the
 full search space, and the Seifert row oracle evaluates the displayed s_k
 formulas in Fraction arithmetic over duals taken from the successor oracle.
-Each oracle takes an explicit bound (default 1000) and
-raises OracleBoundError when the bound is provably insufficient.
+Each oracle takes an explicit bound (default 1000) and raises
+OracleBoundError when the bound is provably insufficient.
 """
 
 from __future__ import annotations

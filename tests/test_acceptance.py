@@ -26,19 +26,15 @@ from slopecalc import (
     amputate,
     analyze,
     check_degree_consistency,
-    check_edge_to_sk,
-    check_rel_prime,
     check_weights,
-    count_multicurves,
     enumerate_multicurves,
     enumerate_weights,
-    gcs_determinant,
+    evidence,
     gcs_family,
     greatest_neighbor_below,
     is_torus_bundle,
     parse_slope,
     shortest_increasing_path,
-    slope_sk_unreduced,
     successor,
 )
 from slopecalc.branched_surface import surface_from_dict, surface_to_dict, weights_to_dict
@@ -129,9 +125,10 @@ def test_c01_torus_bundle_families():
             dets = set()
             k = Fraction(0)
             while k <= 20:
-                dets.add(gcs_determinant(family, k))
-                assert check_edge_to_sk(family, k), (text, k)
-                assert check_rel_prime(family, k), (text, k)
+                row = evidence(family, k)
+                dets.add(row.determinant)
+                assert row.edge, (text, k)
+                assert row.coprime, (text, k)
                 k += family.step
             assert len(dets) == 1 and abs(dets.pop()) == 1, text
 
@@ -177,12 +174,16 @@ def test_c03_worked_pipeline():
         previous = None
         k = Fraction(0)
         while k <= 3:
-            num, den = slope_sk_unreduced(family, k)
-            assert (num, den) == displayed_form(k) == expanded_form(k)
-            sk = Slope(num, den)
+            row = evidence(family, k)
+            num, den = displayed_form(k)
+            assert (num, den) == expanded_form(k)
+            # coprime, so the row's unreduced pair is the reduced s_k
+            assert row.coprime and row.s_k == Slope(num, den)
+            assert (row.k1, row.k2) == (6 * k + 1, 3 * k)
+            sk = row.s_k
             if k in expected:
                 assert sk == expected[k], k
-            assert gcs_determinant(family, k) == 1
+            assert row.determinant == 1
             # strict descent to s = -1/2 with gap exactly 1/(2 den(k))
             assert sk.as_fraction() - Fraction(-1, 2) == Fraction(1, 2 * den)
             if previous is not None:
@@ -203,7 +204,7 @@ def test_c04_nonzero_euler_dichotomy():
             family = gcs_family(t)
             increment = -a1 * a2 * a3 * e * family.step
             assert increment.denominator == 1
-            dets = [gcs_determinant(family, m * family.step) for m in range(6)]
+            dets = [evidence(family, m * family.step).determinant for m in range(6)]
             assert all(b - a == int(increment) for a, b in zip(dets, dets[1:])), t
             assert analyze(t, 3).verdict == VERDICT_FINITE, t
         # empty-family e != 0 triples are finite as well
@@ -297,7 +298,7 @@ def test_c09_multicurve_enumeration():
                 ]
                 assert got == multicurve_grid(bd, mode), (bd, mode)
             feasible = k1 + k2 >= k3 and k1 + k3 >= k2 and k2 + k3 >= k1
-            assert count_multicurves(bd, False) == (1 if feasible else 0)
+            assert len(enumerate_multicurves(bd, False)) == (1 if feasible else 0)
 
 
 def test_c10_cli_round_trip_determinism(tmp_path, capsys):

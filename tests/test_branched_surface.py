@@ -15,11 +15,7 @@ from slopecalc import (
     check_degree_consistency,
     check_weights,
     enumerate_weights,
-    is_boundary_free,
-    is_sufficiently_positive,
     scale_weights,
-    sup_exceeds,
-    tangency_count,
     validate_surface,
 )
 from slopecalc.branched_surface import (
@@ -312,12 +308,7 @@ class TestDegreeConsistency:
         assert not any("A1" in v for v in violations)
 
 
-class TestTangencyCount:
-    @pytest.mark.parametrize("degree,expected", [(0, 0), (1, 2), (3, 6)])
-    def test_doubled_degree(self, degree, expected):
-        record = VerticalAnnulus("A", degree, ("essential", "essential"))
-        assert tangency_count(record) == expected
-
+class TestAnnulusValidation:
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             VerticalAnnulus("A", -1, ("essential", "essential"))
@@ -325,29 +316,6 @@ class TestTangencyCount:
     def test_unknown_class_rejected(self):
         with pytest.raises(ValueError):
             VerticalAnnulus("A", 0, ("essential", "compressible"))
-
-
-class TestSimplificationPredicates:
-    def test_boundary_free(self):
-        assert is_boundary_free(simple_surface())
-        assert not is_boundary_free(amputate(simple_surface(), {"C"}))
-        marked = BranchedSurface(sectors=(SectorRecord("A", boundary=True),))
-        assert not is_boundary_free(marked)
-
-    def test_sufficiently_positive(self):
-        w = WeightFunction({"A": 5, "B": 7})
-        assert is_sufficiently_positive(w, 4)
-        assert not is_sufficiently_positive(w, 5)
-
-    def test_sup_exceeds(self):
-        surface = simple_surface()
-        family = [
-            WeightFunction({"A": 9, "B": 0, "C": 9}),
-            WeightFunction({"A": 0, "B": 9, "C": 9}),
-        ]
-        assert sup_exceeds(surface, family, 8)
-        assert not sup_exceeds(surface, family, 9)
-        assert not sup_exceeds(surface, [family[0]], 8)
 
 
 class TestSerialization:

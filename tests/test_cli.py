@@ -151,6 +151,31 @@ class TestSurfaceLoading:
         err = self.one_line_error(["degree-check", "--input", str(path)], capsys)
         assert "sector 'A' boundary must be true or false" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"sectors": [{"id": None}]},
+            {"sectors": [{"id": 1}], "branch_curves": [{"out1": "1", "out2": "1", "in": "1"}]},
+            {"sectors": [{"id": "A"}], "branch_curves": [{"out1": "A", "out2": "A", "in": None}]},
+            {"sectors": [{"id": "A"}], "boundary_curves": [{"sector": ["A"], "role": "in"}]},
+            {"vertical_annuli": [{"id": 0, "degree": 0, "boundary_classes": ["essential"] * 2}]},
+        ],
+        ids=["sector-null", "sector-int", "branch-curve", "boundary-curve", "annulus"],
+    )
+    def test_ids_must_be_strings(self, tmp_path, capsys, doc):
+        path = tmp_path / "surf.json"
+        path.write_text(json.dumps(doc))
+        err = self.one_line_error(["degree-check", "--input", str(path)], capsys)
+        assert "must be a string" in err
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_annulus_needs_two_boundary_classes(self, tmp_path, capsys, count):
+        annulus = {"id": "V", "degree": 0, "boundary_classes": ["essential"] * count}
+        path = tmp_path / "surf.json"
+        path.write_text(json.dumps({"vertical_annuli": [annulus]}))
+        err = self.one_line_error(["degree-check", "--input", str(path)], capsys)
+        assert f"annulus V: needs two boundary classes, got {count}" in err
+
     @pytest.mark.parametrize("value", [1.9, 1.5, "2", True])
     @pytest.mark.parametrize("field", ["cusped_euler", "degree", "weight"])
     def test_integers_are_not_coerced(self, surface_file, tmp_path, capsys, field, value):

@@ -19,7 +19,6 @@ from slopecalc import (
     slope_interval,
     successor,
 )
-from slopecalc.farey import parse_path
 
 from oracles import (
     bfs_path_length,
@@ -254,7 +253,7 @@ class TestShortestIncreasingPath:
     def test_path_serialization_round_trip(self):
         path = shortest_increasing_path(Slope(1, 5), INFINITY)
         assert str(path) == "1/5, 1/4, 1/3, 1/2, 1/1, inf"
-        assert parse_path(str(path)) == path
+        assert FareyPath(tuple(parse_slope(v) for v in str(path).split(","))) == path
 
 
 class TestFareyPathInvariants:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 
@@ -12,18 +13,14 @@ from slopecalc import (
     SeifertTriple,
     Slope,
     analyze,
-    check_edge_to_sk,
-    check_rel_prime,
     dual_invariants,
     euler_number,
-    gcs_determinant,
+    evidence,
     gcs_family,
     is_torus_bundle,
     limit_slope,
     normalize,
     parse_triple,
-    slope_sk,
-    slope_sk_unreduced,
 )
 from slopecalc.seifert import (
     CASE2_NOTE,
@@ -223,23 +220,26 @@ class TestGcsFamily:
 class TestSlopeSk:
     def test_worked_values(self):
         fam = gcs_family(WORKED)
-        assert slope_sk(fam, 0) == Slope(-2, 5)
-        assert slope_sk(fam, Fraction(1, 3)) == Slope(-5, 11)
-        assert slope_sk(fam, 1) == Slope(-11, 23)
+        assert evidence(fam, 0).s_k == Slope(-2, 5)
+        assert evidence(fam, Fraction(1, 3)).s_k == Slope(-5, 11)
+        assert evidence(fam, 1).s_k == Slope(-11, 23)
 
     def test_unreduced_pair(self):
         fam = gcs_family(WORKED)
-        assert slope_sk_unreduced(fam, 0) == (-2, 5)
-        assert slope_sk_unreduced(fam, 1) == (-11, 23)
+        # a coprime unreduced pair is the reduced s_k
+        for k, pair in ((0, (-2, 5)), (1, (-11, 23))):
+            row = evidence(fam, k)
+            assert row.coprime
+            assert (row.s_k.numerator, row.s_k.denominator) == pair
 
     def test_inadmissible_k(self):
         fam = gcs_family(WORKED)
         for bad in (-1, Fraction(1, 2), Fraction(1, 6), Fraction(-1, 3)):
             with pytest.raises(InadmissibleK):
-                slope_sk(fam, bad)
+                evidence(fam, bad)
 
     def test_presentations_agree_on_random_triples(self):
-        # slope_sk_unreduced asserts the two displayed forms agree internally;
+        # evidence checks internally that the two displayed forms agree;
         # drive it across random normalized triples and admissible k <= 20
         rng = random.Random(33)
         seen = 0
@@ -249,10 +249,11 @@ class TestSlopeSk:
             if fam is None:
                 continue
             seen += 1
+            a1 = t.alphas[0]
             k = Fraction(0)
             while k <= 20:
-                num, den = slope_sk_unreduced(fam, k)
-                assert den > 0
+                row = evidence(fam, k)
+                assert row.k1 * a1 + fam.duals[0].denominator > 0  # unreduced den
                 k += fam.step * rng.randint(1, 7)
 
 
@@ -273,11 +274,11 @@ class TestGcsDeterminant:
     def test_worked_constant_one(self):
         fam = gcs_family(WORKED)
         for k in (0, Fraction(1, 3), 1, 5):
-            assert gcs_determinant(fam, k) == 1
+            assert evidence(fam, k).determinant == 1
 
     def test_second_torus_bundle_constant(self):
         fam = gcs_family(triple("1/4", "1/4", "-1/2"))
-        dets = {gcs_determinant(fam, m * fam.step) for m in range(30)}
+        dets = {evidence(fam, m * fam.step).determinant for m in range(30)}
         assert dets == {1}
 
     def test_constant_when_euler_zero(self):
@@ -296,7 +297,7 @@ class TestGcsDeterminant:
                 continue
             seen += 1
             steps = int(20 / fam.step) + 1
-            dets = {gcs_determinant(fam, m * fam.step) for m in range(steps)}
+            dets = {evidence(fam, m * fam.step).determinant for m in range(steps)}
             assert len(dets) == 1, t
 
     def test_k_coefficient_two_point_evaluation(self):
@@ -314,8 +315,8 @@ class TestGcsDeterminant:
             b1, b2, b3 = t.betas
             coefficient = a3 * (-a2 * b1 - a1 * b2) - b3 * a1 * a2
             assert coefficient == -a1 * a2 * a3 * euler_number(t)
-            d0 = gcs_determinant(fam, 0)
-            d1 = gcs_determinant(fam, 7 * fam.step)
+            d0 = evidence(fam, 0).determinant
+            d1 = evidence(fam, 7 * fam.step).determinant
             assert Fraction(d1 - d0, 1) == coefficient * 7 * fam.step
 
     def test_linear_growth_when_euler_nonzero(self):
@@ -329,9 +330,9 @@ class TestGcsDeterminant:
                 continue
             seen += 1
             a1, a2, a3 = t.alphas
-            d0 = gcs_determinant(fam, 0)
-            d1 = gcs_determinant(fam, fam.step)
-            d2 = gcs_determinant(fam, 2 * fam.step)
+            d0 = evidence(fam, 0).determinant
+            d1 = evidence(fam, fam.step).determinant
+            d2 = evidence(fam, 2 * fam.step).determinant
             increment = -a1 * a2 * a3 * e * fam.step
             assert increment.denominator == 1
             assert d1 - d0 == int(increment)
@@ -341,8 +342,8 @@ class TestGcsDeterminant:
 class TestRelPrimeAndEdge:
     def test_worked_coprime(self):
         fam = gcs_family(WORKED)
-        assert check_rel_prime(fam, 1)  # gcd(11, 23) = 1
-        assert check_rel_prime(fam, 0)  # gcd(2, 5) = 1
+        assert evidence(fam, 1).coprime  # gcd(11, 23) = 1
+        assert evidence(fam, 0).coprime  # gcd(2, 5) = 1
 
     def test_unit_determinant_forces_coprime(self):
         rng = random.Random(36)
@@ -354,19 +355,20 @@ class TestRelPrimeAndEdge:
                 continue
             k = rng.randint(0, 8) * fam.step
             seen += 1
-            if abs(gcs_determinant(fam, k)) == 1:
-                assert check_rel_prime(fam, k)
+            row = evidence(fam, k)
+            if abs(row.determinant) == 1:
+                assert row.coprime
 
     def test_worked_edges(self):
         fam = gcs_family(WORKED)
-        assert check_edge_to_sk(fam, 1)  # -11/23 > -1/2, det 1
-        assert check_edge_to_sk(fam, Fraction(1, 3))  # -5/11 vs -1/2
+        assert evidence(fam, 1).edge  # -11/23 > -1/2, det 1
+        assert evidence(fam, Fraction(1, 3)).edge  # -5/11 vs -1/2
 
     def test_edge_fails_for_large_k_when_euler_nonzero(self):
         fam = gcs_family(triple("1/2", "1/2", "-1/2"))
-        assert not check_edge_to_sk(fam, 40)
+        assert not evidence(fam, 40).edge
         fam = gcs_family(triple("2/5", "3/7", "-1/2"))
-        assert any(not check_edge_to_sk(fam, m * fam.step) for m in range(2, 40))
+        assert any(not evidence(fam, m * fam.step).edge for m in range(2, 40))
 
 
 class TestRowOracle:
@@ -499,12 +501,9 @@ class TestAnalyze:
             )
             for m in range(8):
                 k = m * fam.step
-                assert slope_sk_unreduced(shifted, k) == slope_sk_unreduced(
-                    fam, k + fam.step
-                )
-                assert gcs_determinant(shifted, k) == gcs_determinant(fam, k + fam.step)
-                assert check_edge_to_sk(shifted, k) == check_edge_to_sk(fam, k + fam.step)
-                assert check_rel_prime(shifted, k) == check_rel_prime(fam, k + fam.step)
+                # equal (k1, k2) give equal unreduced s_k pairs
+                later = evidence(fam, k + fam.step)
+                assert replace(evidence(shifted, k), k=later.k) == later
 
     def test_report_dict_shape(self):
         doc = report_to_dict(analyze(WORKED, 1))
