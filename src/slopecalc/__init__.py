@@ -23,16 +23,14 @@ from .farey import (
     INFINITY,
     FareyError,
     FareyPath,
-    OpenInterval,
     Slope,
-    WrappedInterval,
+    SlopeInterval,
     greatest_neighbor_below,
     intersection_number,
     is_edge,
     mediant,
     parse_slope,
     shortest_increasing_path,
-    slope_interval,
     successor,
 )
 from .multicurve import (

@@ -160,8 +160,10 @@ def enumerate_weights(
 
     lo is 0 for "nonnegative" and 1 for "positive".  Output is ordered
     lexicographically on the value tuple taken in sorted-sector-id order.
-    Backtracking checks each branch equation as soon as its last sector is
-    assigned; exhaustive and exact at desk scale.
+    Depth-first search over value-tuple prefixes on an explicit stack (no
+    recursion, whatever the sector count), checking each branch equation once
+    its deepest sector is assigned.  Values are pushed in descending order, so
+    the smallest is popped first and its subtree finishes before any sibling's.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
@@ -170,30 +172,24 @@ def enumerate_weights(
     lo = 0 if positivity == "nonnegative" else 1
     ids = sorted(set(surface.sector_ids()))
     index = {sid: i for i, sid in enumerate(ids)}
-    # curves checked at the deepest sector they involve
-    checks_at: list[list[BranchCurve]] = [[] for _ in ids]
-    for curve in surface.branch_curves:
-        last = max(index[curve.out1], index[curve.out2], index[curve.inward])
-        checks_at[last].append(curve)
+    # (out1, out2, in) positions of each curve, bucketed at the deepest one
+    checks_at: list[list[tuple[int, int, int]]] = [[] for _ in ids]
+    for c in surface.branch_curves:
+        positions = (index[c.out1], index[c.out2], index[c.inward])
+        checks_at[max(positions)].append(positions)
 
     solutions: list[WeightFunction] = []
-    assigned: dict[str, int] = {}
-
-    def backtrack(depth: int) -> None:
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        prefix = stack.pop()
+        depth = len(prefix)
         if depth == len(ids):
-            solutions.append(WeightFunction(dict(assigned)))
-            return
-        sid = ids[depth]
-        for value in range(lo, max_weight + 1):
-            assigned[sid] = value
-            if all(
-                assigned[c.out1] + assigned[c.out2] == assigned[c.inward]
-                for c in checks_at[depth]
-            ):
-                backtrack(depth + 1)
-        del assigned[sid]
-
-    backtrack(0)
+            solutions.append(WeightFunction(dict(zip(ids, prefix))))
+        else:
+            for value in range(max_weight, lo - 1, -1):
+                w = prefix + (value,)
+                if all(w[i] + w[j] == w[k] for i, j, k in checks_at[depth]):
+                    stack.append(w)
     return solutions
 
 
@@ -316,7 +312,8 @@ def _exact(value, kind: type, what: str):
     """value itself if its type is exactly kind (so true is no integer); else TypeError."""
     if type(value) is not kind:
         noun = {
-            bool: "true or false", int: "an integer", dict: "an object", str: "a string"
+            bool: "true or false", int: "an integer", dict: "an object", list: "an array",
+            str: "a string",
         }[kind]
         raise TypeError(f"{what} must be {noun}, got {type(value).__name__}")
     return value
@@ -331,27 +328,31 @@ def surface_from_dict(doc: dict) -> BranchedSurface:
                 _exact(s.get("cusped_euler", 0), int, f"sector {s['id']!r} cusped_euler"),
                 _exact(s.get("boundary", False), bool, f"sector {s['id']!r} boundary"),
             )
-            for s in doc.get("sectors", [])
+            for s in _exact(doc.get("sectors", []), list, "sectors")
         )
         curves = tuple(
             BranchCurve(
                 *(_exact(c[key], str, f"branch curve {key}") for key in ("out1", "out2", "in"))
             )
-            for c in doc.get("branch_curves", [])
+            for c in _exact(doc.get("branch_curves", []), list, "branch_curves")
         )
         boundary = tuple(
             BoundaryCurve(
-                sector=_exact(b["sector"], str, "boundary curve sector"), role=str(b["role"])
+                _exact(b["sector"], str, "boundary curve sector"),
+                _exact(b["role"], str, "boundary curve role"),
             )
-            for b in doc.get("boundary_curves", [])
+            for b in _exact(doc.get("boundary_curves", []), list, "boundary_curves")
         )
         annuli = tuple(
             VerticalAnnulus(
                 id=_exact(a["id"], str, "annulus id"),
                 degree=_exact(a["degree"], int, f"annulus {a['id']!r} degree"),
-                boundary_classes=tuple(str(t) for t in a["boundary_classes"]),
+                boundary_classes=tuple(
+                    _exact(t, str, f"annulus {a['id']!r} boundary class")
+                    for t in _exact(a["boundary_classes"], list, "boundary_classes")
+                ),
             )
-            for a in doc.get("vertical_annuli", [])
+            for a in _exact(doc.get("vertical_annuli", []), list, "vertical_annuli")
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed surface document: {exc}") from exc
@@ -364,7 +365,8 @@ def weights_to_dict(w: WeightFunction) -> dict[str, int]:
 
 def weights_from_dict(doc: dict) -> WeightFunction:
     try:
-        return WeightFunction({str(k): _exact(v, int, f"weight of {k!r}") for k, v in doc.items()})
+        _exact(doc, dict, "top level")
+        return WeightFunction({k: _exact(v, int, f"weight of {k!r}") for k, v in doc.items()})
     except TypeError as exc:
         raise ValueError(f"malformed weight document: {exc}") from exc
 
@@ -392,7 +394,4 @@ def load_surface(path: str) -> BranchedSurface:
 
 def load_weights(path: str) -> WeightFunction:
     """Read and parse an id->integer weight map; raises a one-line ValueError."""
-    doc = _read_json(path)
-    if not isinstance(doc, dict):
-        raise ValueError(f"weight document {path} must be an id->integer map")
-    return weights_from_dict(doc)
+    return weights_from_dict(_read_json(path))

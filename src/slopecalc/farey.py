@@ -130,12 +130,6 @@ def successor(b: Slope) -> Slope:
     return Slope(pp, qq)
 
 
-def _fan(b: Slope, t: int) -> Slope:
-    """The t-th upper neighbor of b: successor for t = 0, decreasing to b."""
-    s = successor(b)
-    return Slope(s.numerator + t * b.numerator, s.denominator + t * b.denominator)
-
-
 def greatest_neighbor_below(a: Slope, upper: Slope) -> Slope:
     """The maximal slope in the open interval (a, upper) with an edge to a.
 
@@ -150,11 +144,12 @@ def greatest_neighbor_below(a: Slope, upper: Slope) -> Slope:
     s = successor(a)
     if upper.is_infinite:
         return s
-    # fan(t) < upper  <=>  t > (v*p' - u*q') / (u*q - v*p), fan(0) = successor
+    # upper neighbors of a: (p' + t*p)/(q' + t*q) for t >= 0, falling from s = p'/q'
+    # toward a; below upper = u/v exactly when t > (v*p' - u*q') / (u*q - v*p)
     p, q = a.numerator, a.denominator
     u, v = upper.numerator, upper.denominator
-    t = (v * s.numerator - u * s.denominator) // (u * q - v * p) + 1
-    return _fan(a, max(t, 0))
+    t = max((v * s.numerator - u * s.denominator) // (u * q - v * p) + 1, 0)
+    return Slope(s.numerator + t * p, s.denominator + t * q)
 
 
 @dataclass(frozen=True)
@@ -225,49 +220,31 @@ def mediant(a: Slope, b: Slope) -> Slope:
 
 
 @dataclass(frozen=True)
-class OpenInterval:
-    """The ordinary open interval (lower, upper) of slopes."""
+class SlopeInterval:
+    """The open interval of slopes running upward from lower to upper.
 
-    lower: Slope
-    upper: Slope
-
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise FareyError(f"degenerate interval ({self.lower}, {self.upper})")
-
-    def __contains__(self, x: Slope) -> bool:
-        return self.lower < x < self.upper
-
-    def __str__(self) -> str:
-        return f"({self.lower}, {self.upper})"
-
-
-@dataclass(frozen=True)
-class WrappedInterval:
-    """An interval wrapping through infinity: (lower, inf] union [-inf, upper).
-
-    Arises when the nominal endpoints satisfy upper < lower; membership
-    reduces to the two ordinary one-sided queries.
+    When upper < lower the interval wraps through infinity and is
+    (lower, inf] u [-inf, upper); otherwise it is the ordinary (lower, upper).
+    Equal endpoints raise FareyError.
     """
 
     lower: Slope
     upper: Slope
 
     def __post_init__(self) -> None:
-        if not self.upper < self.lower:
-            raise FareyError(
-                f"wrapped interval requires upper < lower, got ({self.lower}, {self.upper})"
-            )
+        if self.lower == self.upper:
+            raise FareyError(f"degenerate interval ({self.lower}, {self.upper})")
+
+    @property
+    def wraps(self) -> bool:
+        return self.upper < self.lower
 
     def __contains__(self, x: Slope) -> bool:
-        return x > self.lower or x < self.upper
+        if self.wraps:
+            return x > self.lower or x < self.upper
+        return self.lower < x < self.upper
 
     def __str__(self) -> str:
-        return f"({self.lower}, inf] u [-inf, {self.upper})"
-
-
-def slope_interval(lower: Slope, upper: Slope) -> OpenInterval | WrappedInterval:
-    """The interval from lower to upper, wrapping through infinity if needed."""
-    if lower < upper:
-        return OpenInterval(lower, upper)
-    return WrappedInterval(lower, upper)
+        if self.wraps:
+            return f"({self.lower}, inf] u [-inf, {self.upper})"
+        return f"({self.lower}, {self.upper})"

@@ -90,23 +90,19 @@ def enumerate_multicurves(
     With allow_boundary_parallel False the b_i are pinned to zero (the tight
     case); infeasible boundary data yields the empty list.  Lexicographic
     order on (n12, n13, n23, b1, b2, b3); since the b_i are determined by the
-    n_ij, ordering the n-loops ascending suffices.
+    n_ij, ordering the n-loops ascending suffices.  Integer b1 and b2 need
+    n13 = n12 = n23 (mod 2), which makes b3 an integer too; so the n13 and
+    n23 loops step by 2 from n12 % 2 and every point they visit is integral.
     """
     out = []
     for n12 in range(2 * min(bd.k1, bd.k2) + 1):
-        for n13 in range(min(2 * bd.k1 - n12, 2 * bd.k3) + 1):
-            rem1 = 2 * bd.k1 - n12 - n13
-            if rem1 % 2:
-                continue
-            for n23 in range(min(2 * bd.k2 - n12, 2 * bd.k3 - n13) + 1):
-                rem2 = 2 * bd.k2 - n12 - n23
-                rem3 = 2 * bd.k3 - n13 - n23
-                if rem2 % 2 or rem3 % 2:
-                    continue
-                b1, b2, b3 = rem1 // 2, rem2 // 2, rem3 // 2
-                if not allow_boundary_parallel and (b1 or b2 or b3):
-                    continue
-                out.append(MulticurveCoordinates(n12, n13, n23, b1, b2, b3))
+        for n13 in range(n12 % 2, min(2 * bd.k1 - n12, 2 * bd.k3) + 1, 2):
+            for n23 in range(n12 % 2, min(2 * bd.k2 - n12, 2 * bd.k3 - n13) + 1, 2):
+                b1 = bd.k1 - (n12 + n13) // 2
+                b2 = bd.k2 - (n12 + n23) // 2
+                b3 = bd.k3 - (n13 + n23) // 2
+                if allow_boundary_parallel or not (b1 or b2 or b3):
+                    out.append(MulticurveCoordinates(n12, n13, n23, b1, b2, b3))
     return out
 
 

@@ -27,14 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
-from .farey import (
-    Slope,
-    WrappedInterval,
-    is_edge,
-    parse_slope,
-    slope_interval,
-    successor,
-)
+from .farey import Slope, SlopeInterval, is_edge, parse_slope, successor
 
 VERDICT_FINITE = "GCS finite"
 VERDICT_TORUS_BUNDLE = "torus-bundle candidate"
@@ -309,7 +302,8 @@ def analyze(t: SeifertTriple, k_max: Fraction | int) -> AnalysisReport:
         note = EMPTY_FAMILY_NOTE
     elif e != 0:
         verdict = VERDICT_FINITE
-        if limit != s3 and isinstance(slope_interval(s3, limit), WrappedInterval):
+        # e != 0 means limit = -b1/a1 - b2/a2 is not b3/a3: never degenerate
+        if SlopeInterval(s3, limit).wraps:
             note = CASE2_NOTE
     elif bundle:
         verdict = VERDICT_TORUS_BUNDLE

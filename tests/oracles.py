@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor, gcd
 
 from slopecalc import Slope
@@ -66,6 +67,12 @@ def neighbor_below_oracle(a: Slope, upper: Slope, bound: int = DEFAULT_BOUND) ->
     return best
 
 
+@lru_cache(maxsize=None)
+def _first_denominator(r: int, q: int) -> int:
+    """The least q' in [1, q] with q | 1 + r*q', by plain scan."""
+    return next(qq for qq in range(1, q + 1) if (1 + r * qq) % q == 0)
+
+
 def _upward_neighbors(x: tuple[int, int], bound: int) -> list[tuple[int, int]]:
     """All y > x with |det(x, y)| = 1 and denominator <= bound, plus infinity
     when x is an integer.
@@ -73,17 +80,15 @@ def _upward_neighbors(x: tuple[int, int], bound: int) -> list[tuple[int, int]]:
     The admissible denominators q' (those with q | 1 + p*q') form an
     arithmetic progression of step q; the first one is found by plain scan,
     the rest by stepping, which keeps the sweep exhaustive without the
-    closed-form modular inverse the implementation uses."""
+    closed-form modular inverse the implementation uses.  The first one
+    depends only on (p mod q, q), so its scan is cached on that pair, which
+    vertices one unit apart share."""
     p, q = x
     out = []
     if q == 1:
         out.append((1, 0))
-    first = None
-    for qq in range(1, min(q, bound) + 1):
-        if (1 + p * qq) % q == 0:
-            first = qq
-            break
-    if first is None:
+    first = _first_denominator(p % q, q)
+    if first > bound:
         return out
     for qq in range(first, bound + 1, q):
         out.append(((1 + p * qq) // q, qq))

@@ -118,6 +118,16 @@ class TestEnumerateWeights:
         got = enumerate_weights(BranchedSurface(), 3)
         assert got == [WeightFunction({})]
 
+    def test_positive_with_max_zero_has_no_solution(self):
+        # the value range [1, 0] is empty; this once raised KeyError
+        assert enumerate_weights(simple_surface(), 0, "positive") == []
+
+    def test_depth_beyond_recursion_limit(self):
+        # more sectors than Python's default recursion limit of 1000
+        ids = [f"S{i:04d}" for i in range(1200)]
+        surface = BranchedSurface(sectors=tuple(SectorRecord(sid) for sid in ids))
+        assert enumerate_weights(surface, 0) == [WeightFunction(dict.fromkeys(ids, 0))]
+
     def test_lexicographic_by_sector_id(self):
         got = enumerate_weights(simple_surface(), 3)
         tuples = [tuple(w[i] for i in ("A", "B", "C")) for w in got]

@@ -168,6 +168,44 @@ class TestSurfaceLoading:
         err = self.one_line_error(["degree-check", "--input", str(path)], capsys)
         assert "must be a string" in err
 
+    @pytest.mark.parametrize(
+        "field", ["sectors", "branch_curves", "boundary_curves", "vertical_annuli"]
+    )
+    def test_arrays_must_be_arrays(self, tmp_path, capsys, field):
+        # an empty object used to pass as the empty array
+        path = tmp_path / "surf.json"
+        path.write_text(json.dumps({field: {}}))
+        err = self.one_line_error(["weights", "solve", "--input", str(path), "--max", "0"], capsys)
+        assert f"{field} must be an array, got dict" in err
+
+    @pytest.mark.parametrize(
+        "classes, message",
+        [
+            ({"essential": 1, "disk-bounding": 2}, "boundary_classes must be an array, got dict"),
+            (["essential", 1], "annulus 'V' boundary class must be a string, got int"),
+        ],
+        ids=["object", "integer-class"],
+    )
+    def test_boundary_classes_are_strings_in_an_array(self, tmp_path, capsys, classes, message):
+        annulus = {"id": "V", "degree": 0, "boundary_classes": classes}
+        path = tmp_path / "surf.json"
+        path.write_text(json.dumps({"vertical_annuli": [annulus]}))
+        assert message in self.one_line_error(["degree-check", "--input", str(path)], capsys)
+
+    def test_role_must_be_a_string(self, tmp_path, capsys):
+        doc = {"sectors": [{"id": "A"}], "boundary_curves": [{"sector": "A", "role": ["in"]}]}
+        path = tmp_path / "surf.json"
+        path.write_text(json.dumps(doc))
+        err = self.one_line_error(["degree-check", "--input", str(path)], capsys)
+        assert "boundary curve role must be a string, got list" in err
+
+    def test_weight_document_must_be_an_object(self, surface_file, tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps([{"A": 0, "B": 0, "C": 0}]))
+        argv = ["weights", "check", "--input", surface_file, "--weights", str(path)]
+        err = self.one_line_error(argv, capsys)
+        assert "malformed weight document: top level must be an object, got list" in err
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_annulus_needs_two_boundary_classes(self, tmp_path, capsys, count):
         annulus = {"id": "V", "degree": 0, "boundary_classes": ["essential"] * count}

@@ -7,16 +7,14 @@ from slopecalc import (
     INFINITY,
     FareyError,
     FareyPath,
-    OpenInterval,
     Slope,
-    WrappedInterval,
+    SlopeInterval,
     greatest_neighbor_below,
     intersection_number,
     is_edge,
     mediant,
     parse_slope,
     shortest_increasing_path,
-    slope_interval,
     successor,
 )
 
@@ -339,7 +337,7 @@ class TestOracleBound:
 
 class TestIntervals:
     def test_open_interval_membership(self):
-        window = OpenInterval(Slope(-1, 2), Slope(1, 3))
+        window = SlopeInterval(Slope(-1, 2), Slope(1, 3))
         assert Slope(0, 1) in window
         assert Slope(-1, 2) not in window
         assert Slope(1, 2) not in window
@@ -347,7 +345,7 @@ class TestIntervals:
 
     def test_wrapped_interval_membership(self):
         # (-1/2, inf] u [-inf, -2/3)
-        window = WrappedInterval(Slope(-1, 2), Slope(-2, 3))
+        window = SlopeInterval(Slope(-1, 2), Slope(-2, 3))
         assert INFINITY in window
         assert Slope(5, 1) in window
         assert Slope(-1, 1) in window
@@ -355,12 +353,12 @@ class TestIntervals:
         assert Slope(-3, 5) not in window
 
     def test_wrapped_membership_is_two_ordinary_queries(self):
-        window = WrappedInterval(Slope(1, 3), Slope(-1, 3))
+        window = SlopeInterval(Slope(1, 3), Slope(-1, 3))
         for x in slope_corpus(5, 5) + [INFINITY]:
             assert (x in window) == (x > Slope(1, 3) or x < Slope(-1, 3))
 
-    def test_factory_picks_orientation(self):
-        assert isinstance(slope_interval(Slope(0, 1), Slope(1, 1)), OpenInterval)
-        assert isinstance(slope_interval(Slope(1, 1), Slope(0, 1)), WrappedInterval)
+    def test_wraps_when_upper_below_lower(self):
+        assert not SlopeInterval(Slope(0, 1), Slope(1, 1)).wraps
+        assert SlopeInterval(Slope(1, 1), Slope(0, 1)).wraps
         with pytest.raises(FareyError):
-            slope_interval(Slope(1, 2), Slope(1, 2))
+            SlopeInterval(Slope(1, 2), Slope(1, 2))
