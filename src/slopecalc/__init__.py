@@ -10,13 +10,11 @@ from .branched_surface import (
     BranchedSurface,
     SectorRecord,
     VerticalAnnulus,
-    WeightFunction,
     amputate,
     carried_euler,
     check_degree_consistency,
     check_weights,
     enumerate_weights,
-    scale_weights,
     validate_surface,
 )
 from .farey import (
@@ -24,7 +22,6 @@ from .farey import (
     FareyError,
     FareyPath,
     Slope,
-    SlopeInterval,
     greatest_neighbor_below,
     intersection_number,
     is_edge,
@@ -37,7 +34,6 @@ from .multicurve import (
     BoundaryData,
     MulticurveCoordinates,
     enumerate_multicurves,
-    is_tight_candidate,
 )
 from .seifert import (
     AnalysisReport,

@@ -3,10 +3,11 @@
 A branched surface is stored as its sector set plus the branch curves of the
 branch locus; each branch curve names the two sectors whose branching
 direction is outward and the one sector whose branching direction is inward.
-A weight function assigns an integer to every sector and is valid when the
-branch equation w(out1) + w(out2) = w(in) holds along every branch curve.
-Valid weights form a cone: the zero weight is valid, and validity is closed
-under pointwise addition and nonnegative integer scaling.
+A weight function is a plain dict from sector id to integer (the library never
+mutates one) and is valid when the branch equation w(out1) + w(out2) = w(in)
+holds along every branch curve.  Valid weights form a cone: the zero weight is
+valid, and validity is closed under pointwise addition and nonnegative integer
+scaling.
 
 Per-sector Euler data is input, not computed: the carried-surface Euler
 characteristic is the linear functional sum(w(B) * cusped_euler(B)).
@@ -91,27 +92,6 @@ class BranchedSurface:
     def sector_ids(self) -> list[str]:
         return [s.id for s in self.sectors]
 
-    def is_empty(self) -> bool:
-        return not self.sectors
-
-
-@dataclass(frozen=True)
-class WeightFunction:
-    """An integer assignment sector id -> Z, not bound to any one surface."""
-
-    weights: dict[str, int]
-
-    def __getitem__(self, sector_id: str) -> int:
-        return self.weights[sector_id]
-
-    def ids(self) -> set[str]:
-        return set(self.weights)
-
-    def __add__(self, other: WeightFunction) -> WeightFunction:
-        if self.ids() != other.ids():
-            raise ValueError("weight functions defined on different sector sets")
-        return WeightFunction({k: v + other.weights[k] for k, v in self.weights.items()})
-
 
 def validate_surface(surface: BranchedSurface) -> list[str]:
     """Structural violations of the surface data; an empty list means well formed."""
@@ -138,14 +118,13 @@ def validate_surface(surface: BranchedSurface) -> list[str]:
     return violations
 
 
-def _require_domain(surface: BranchedSurface, w: WeightFunction) -> None:
-    if w.ids() != set(surface.sector_ids()):
+def check_weights(surface: BranchedSurface, w: dict[str, int]) -> bool:
+    """Whether w(out1) + w(out2) = w(in) holds on every curve for the id->integer map w.
+
+    The keys of w must be exactly the sector ids; otherwise ValueError.
+    """
+    if set(w) != set(surface.sector_ids()):
         raise ValueError("weight function domain does not match the sector set")
-
-
-def check_weights(surface: BranchedSurface, w: WeightFunction) -> bool:
-    """Whether w satisfies every branch equation w(out1) + w(out2) = w(in)."""
-    _require_domain(surface, w)
     return all(
         w[c.out1] + w[c.out2] == w[c.inward] for c in surface.branch_curves
     )
@@ -155,8 +134,8 @@ def enumerate_weights(
     surface: BranchedSurface,
     max_weight: int,
     positivity: str = "nonnegative",
-) -> list[WeightFunction]:
-    """All valid weight functions with every weight in [lo, max_weight].
+) -> list[dict[str, int]]:
+    """All valid weight functions with every weight in [lo, max_weight], as id->integer maps.
 
     lo is 0 for "nonnegative" and 1 for "positive".  Output is ordered
     lexicographically on the value tuple taken in sorted-sector-id order.
@@ -178,13 +157,13 @@ def enumerate_weights(
         positions = (index[c.out1], index[c.out2], index[c.inward])
         checks_at[max(positions)].append(positions)
 
-    solutions: list[WeightFunction] = []
+    solutions: list[dict[str, int]] = []
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
         depth = len(prefix)
         if depth == len(ids):
-            solutions.append(WeightFunction(dict(zip(ids, prefix))))
+            solutions.append(dict(zip(ids, prefix)))
         else:
             for value in range(max_weight, lo - 1, -1):
                 w = prefix + (value,)
@@ -193,14 +172,7 @@ def enumerate_weights(
     return solutions
 
 
-def scale_weights(w: WeightFunction, c: int) -> WeightFunction:
-    """Multiply every weight by the positive integer c (c = 2 is doubling)."""
-    if c < 1:
-        raise ValueError("scale factor must be a positive integer")
-    return WeightFunction({k: c * v for k, v in w.weights.items()})
-
-
-def carried_euler(surface: BranchedSurface, w: WeightFunction) -> int:
+def carried_euler(surface: BranchedSurface, w: dict[str, int]) -> int:
     """Euler characteristic of the carried surface: sum of w(B) * cusped_euler(B).
 
     Linear in w.  Every component of a surface carried here is a torus, so a
@@ -319,6 +291,11 @@ def _exact(value, kind: type, what: str):
     return value
 
 
+def _entries(doc: dict, field: str) -> list[dict]:
+    """The array doc[field] (empty when absent), each entry required to be an object."""
+    return [_exact(e, dict, f"{field} entry") for e in _exact(doc.get(field, []), list, field)]
+
+
 def surface_from_dict(doc: dict) -> BranchedSurface:
     try:
         _exact(doc, dict, "top level")
@@ -328,20 +305,20 @@ def surface_from_dict(doc: dict) -> BranchedSurface:
                 _exact(s.get("cusped_euler", 0), int, f"sector {s['id']!r} cusped_euler"),
                 _exact(s.get("boundary", False), bool, f"sector {s['id']!r} boundary"),
             )
-            for s in _exact(doc.get("sectors", []), list, "sectors")
+            for s in _entries(doc, "sectors")
         )
         curves = tuple(
             BranchCurve(
                 *(_exact(c[key], str, f"branch curve {key}") for key in ("out1", "out2", "in"))
             )
-            for c in _exact(doc.get("branch_curves", []), list, "branch_curves")
+            for c in _entries(doc, "branch_curves")
         )
         boundary = tuple(
             BoundaryCurve(
                 _exact(b["sector"], str, "boundary curve sector"),
                 _exact(b["role"], str, "boundary curve role"),
             )
-            for b in _exact(doc.get("boundary_curves", []), list, "boundary_curves")
+            for b in _entries(doc, "boundary_curves")
         )
         annuli = tuple(
             VerticalAnnulus(
@@ -352,21 +329,19 @@ def surface_from_dict(doc: dict) -> BranchedSurface:
                     for t in _exact(a["boundary_classes"], list, "boundary_classes")
                 ),
             )
-            for a in _exact(doc.get("vertical_annuli", []), list, "vertical_annuli")
+            for a in _entries(doc, "vertical_annuli")
         )
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
+        raise ValueError(f"malformed surface document: missing field {exc}") from exc
+    except TypeError as exc:
         raise ValueError(f"malformed surface document: {exc}") from exc
     return BranchedSurface(sectors, curves, boundary, annuli)
 
 
-def weights_to_dict(w: WeightFunction) -> dict[str, int]:
-    return dict(sorted(w.weights.items()))
-
-
-def weights_from_dict(doc: dict) -> WeightFunction:
+def weights_from_dict(doc: dict) -> dict[str, int]:
     try:
         _exact(doc, dict, "top level")
-        return WeightFunction({k: _exact(v, int, f"weight of {k!r}") for k, v in doc.items()})
+        return {k: _exact(v, int, f"weight of {k!r}") for k, v in doc.items()}
     except TypeError as exc:
         raise ValueError(f"malformed weight document: {exc}") from exc
 
@@ -392,6 +367,6 @@ def load_surface(path: str) -> BranchedSurface:
     return surface
 
 
-def load_weights(path: str) -> WeightFunction:
+def load_weights(path: str) -> dict[str, int]:
     """Read and parse an id->integer weight map; raises a one-line ValueError."""
     return weights_from_dict(_read_json(path))

@@ -100,7 +100,7 @@ def _solve(args) -> dict:
     solutions = bs.enumerate_weights(surface, args.max, positivity)
     return {
         "sectors": sorted(set(surface.sector_ids())),
-        "solutions": [bs.weights_to_dict(w) for w in solutions],
+        "solutions": solutions,
         "count": len(solutions),
     }
 

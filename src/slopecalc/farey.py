@@ -59,11 +59,6 @@ class Slope:
             return True
         return self.numerator * other.denominator < other.numerator * self.denominator
 
-    def __neg__(self) -> Slope:
-        if self.is_infinite:
-            return self
-        return Slope(-self.numerator, self.denominator)
-
     def as_fraction(self) -> Fraction:
         if self.is_infinite:
             raise FareyError("infinity has no fraction value")
@@ -217,34 +212,3 @@ def mediant(a: Slope, b: Slope) -> Slope:
     if not is_edge(a, b):
         raise FareyError(f"mediant requires an edge pair, got {a}, {b}")
     return Slope(a.numerator + b.numerator, a.denominator + b.denominator)
-
-
-@dataclass(frozen=True)
-class SlopeInterval:
-    """The open interval of slopes running upward from lower to upper.
-
-    When upper < lower the interval wraps through infinity and is
-    (lower, inf] u [-inf, upper); otherwise it is the ordinary (lower, upper).
-    Equal endpoints raise FareyError.
-    """
-
-    lower: Slope
-    upper: Slope
-
-    def __post_init__(self) -> None:
-        if self.lower == self.upper:
-            raise FareyError(f"degenerate interval ({self.lower}, {self.upper})")
-
-    @property
-    def wraps(self) -> bool:
-        return self.upper < self.lower
-
-    def __contains__(self, x: Slope) -> bool:
-        if self.wraps:
-            return x > self.lower or x < self.upper
-        return self.lower < x < self.upper
-
-    def __str__(self) -> str:
-        if self.wraps:
-            return f"({self.lower}, inf] u [-inf, {self.upper})"
-        return f"({self.lower}, {self.upper})"

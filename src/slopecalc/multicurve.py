@@ -61,13 +61,6 @@ class MulticurveCoordinates:
         if min(self.n12, self.n13, self.n23, self.b1, self.b2, self.b3) < 0:
             raise ValueError("arc weights must be nonnegative")
 
-    def satisfies(self, bd: BoundaryData) -> bool:
-        return (
-            self.n12 + self.n13 + 2 * self.b1 == 2 * bd.k1
-            and self.n12 + self.n23 + 2 * self.b2 == 2 * bd.k2
-            and self.n13 + self.n23 + 2 * self.b3 == 2 * bd.k3
-        )
-
     def __str__(self) -> str:
         return f"({self.n12},{self.n13},{self.n23}|{self.b1},{self.b2},{self.b3})"
 
@@ -104,8 +97,3 @@ def enumerate_multicurves(
                 if allow_boundary_parallel or not (b1 or b2 or b3):
                     out.append(MulticurveCoordinates(n12, n13, n23, b1, b2, b3))
     return out
-
-
-def is_tight_candidate(m: MulticurveCoordinates) -> bool:
-    """No boundary-parallel arcs; the coordinate model already bars closed curves."""
-    return m.b1 == 0 and m.b2 == 0 and m.b3 == 0

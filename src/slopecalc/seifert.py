@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
-from .farey import Slope, SlopeInterval, is_edge, parse_slope, successor
+from .farey import Slope, is_edge, parse_slope, successor
 
 VERDICT_FINITE = "GCS finite"
 VERDICT_TORUS_BUNDLE = "torus-bundle candidate"
@@ -302,8 +302,8 @@ def analyze(t: SeifertTriple, k_max: Fraction | int) -> AnalysisReport:
         note = EMPTY_FAMILY_NOTE
     elif e != 0:
         verdict = VERDICT_FINITE
-        # e != 0 means limit = -b1/a1 - b2/a2 is not b3/a3: never degenerate
-        if SlopeInterval(s3, limit).wraps:
+        # the slopes running up from b3/a3 to the limit pass through infinity
+        if limit < s3:
             note = CASE2_NOTE
     elif bundle:
         verdict = VERDICT_TORUS_BUNDLE

@@ -37,7 +37,7 @@ from slopecalc import (
     shortest_increasing_path,
     successor,
 )
-from slopecalc.branched_surface import surface_from_dict, surface_to_dict, weights_to_dict
+from slopecalc.branched_surface import surface_from_dict, surface_to_dict
 from slopecalc.cli import run
 from slopecalc.multicurve import parse_coordinates
 from slopecalc.seifert import VERDICT_FINITE, VERDICT_TORUS_BUNDLE
@@ -233,8 +233,7 @@ def test_c06_weight_cone_oracle_equivalence():
         rng = random.Random(606)
         for surface in random_surfaces(100):
             solutions = enumerate_weights(surface, 10, "nonnegative")
-            got = [weights_to_dict(w) for w in solutions]
-            assert got == grid_weight_solutions(surface, 10, "nonnegative")
+            assert solutions == grid_weight_solutions(surface, 10, "nonnegative")
             # every pair whose sum stays in range remains in the cone;
             # exhaustive when feasible, dense deterministic sample otherwise
             if len(solutions) <= 300:
@@ -244,8 +243,8 @@ def test_c06_weight_cone_oracle_equivalence():
                     (rng.choice(solutions), rng.choice(solutions)) for _ in range(2000)
                 )
             for w1, w2 in pairs:
-                total = w1 + w2
-                if max(total.weights.values(), default=0) <= 10:
+                total = {k: w1[k] + w2[k] for k in w1}
+                if max(total.values(), default=0) <= 10:
                     assert check_weights(surface, total)
 
 
@@ -258,7 +257,7 @@ def test_c07_amputation_properties():
             result = amputate(surface, chosen)
             assert len(result.sectors) == len(surface.sectors) - len(chosen)
             assert len(result.sectors) < len(surface.sectors)
-            assert amputate(surface, set(ids)).is_empty()
+            assert not amputate(surface, set(ids)).sectors
             if len(ids) >= 2:
                 split = rng.randint(1, len(ids) - 1)
                 first, second = set(ids[:split]), set(ids[split:])

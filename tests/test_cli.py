@@ -128,7 +128,7 @@ class TestSurfaceLoading:
     def test_empty_sector_list_accepted(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(json.dumps({"sectors": [], "branch_curves": []}))
-        assert load_surface(str(path)).is_empty()
+        assert not load_surface(str(path)).sectors
 
     @staticmethod
     def one_line_error(argv, capsys):
@@ -177,6 +177,31 @@ class TestSurfaceLoading:
         path.write_text(json.dumps({field: {}}))
         err = self.one_line_error(["weights", "solve", "--input", str(path), "--max", "0"], capsys)
         assert f"{field} must be an array, got dict" in err
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"sectors": ["A"]}, "sectors entry must be an object, got str"),
+            (
+                {"sectors": [{"id": "A"}], "branch_curves": [["A", "A", "A"]]},
+                "branch_curves entry must be an object, got list",
+            ),
+            (
+                {"sectors": [{"id": "A"}], "boundary_curves": [["A", "in"]]},
+                "boundary_curves entry must be an object, got list",
+            ),
+            ({"vertical_annuli": [7]}, "vertical_annuli entry must be an object, got int"),
+            (
+                {"sectors": [{"id": "A"}], "boundary_curves": [{"sector": "A"}]},
+                "malformed surface document: missing field 'role'",
+            ),
+        ],
+        ids=["sector", "branch-curve", "boundary-curve", "annulus", "missing-role"],
+    )
+    def test_entries_are_objects_with_named_fields(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "surf.json"
+        path.write_text(json.dumps(doc))
+        assert message in self.one_line_error(["degree-check", "--input", str(path)], capsys)
 
     @pytest.mark.parametrize(
         "classes, message",

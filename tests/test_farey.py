@@ -8,7 +8,6 @@ from slopecalc import (
     FareyError,
     FareyPath,
     Slope,
-    SlopeInterval,
     greatest_neighbor_below,
     intersection_number,
     is_edge,
@@ -44,10 +43,6 @@ class TestSlope:
         assert Slope(-5, 1) < Slope(-1, 2) < Slope(0, 1)
         assert not INFINITY < INFINITY
         assert Slope(7, 3) < INFINITY
-
-    def test_negation(self):
-        assert -Slope(1, 2) == Slope(-1, 2)
-        assert -INFINITY == INFINITY
 
     def test_fraction_round_trip(self):
         assert Slope(-3, 7).as_fraction() == Fraction(-3, 7)
@@ -333,32 +328,3 @@ class TestOracleBound:
             bfs_path_length(Slope(0, 1), Slope(13, 40), bound=30)
         with pytest.raises(OracleBoundError):
             neighbor_below_oracle(Slope(1, 3), Slope(2, 5), bound=2)
-
-
-class TestIntervals:
-    def test_open_interval_membership(self):
-        window = SlopeInterval(Slope(-1, 2), Slope(1, 3))
-        assert Slope(0, 1) in window
-        assert Slope(-1, 2) not in window
-        assert Slope(1, 2) not in window
-        assert INFINITY not in window
-
-    def test_wrapped_interval_membership(self):
-        # (-1/2, inf] u [-inf, -2/3)
-        window = SlopeInterval(Slope(-1, 2), Slope(-2, 3))
-        assert INFINITY in window
-        assert Slope(5, 1) in window
-        assert Slope(-1, 1) in window
-        assert Slope(-1, 2) not in window
-        assert Slope(-3, 5) not in window
-
-    def test_wrapped_membership_is_two_ordinary_queries(self):
-        window = SlopeInterval(Slope(1, 3), Slope(-1, 3))
-        for x in slope_corpus(5, 5) + [INFINITY]:
-            assert (x in window) == (x > Slope(1, 3) or x < Slope(-1, 3))
-
-    def test_wraps_when_upper_below_lower(self):
-        assert not SlopeInterval(Slope(0, 1), Slope(1, 1)).wraps
-        assert SlopeInterval(Slope(1, 1), Slope(0, 1)).wraps
-        with pytest.raises(FareyError):
-            SlopeInterval(Slope(1, 2), Slope(1, 2))

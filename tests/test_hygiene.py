@@ -31,3 +31,41 @@ def test_no_function_calls_itself_by_name():
         and call.func.id == func.name
     ]
     assert found == []
+
+
+def _uses(tree: ast.AST) -> set[str]:
+    """Names loaded or read as attributes, except inside the def, class or
+    assignment that binds that same name."""
+    uses = set()
+    stack = [(tree, frozenset())]
+    while stack:
+        node, owners = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owners = owners | {node.name}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            owners = owners | {t.id for t in targets if isinstance(t, ast.Name)}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        else:
+            name = node.attr if isinstance(node, ast.Attribute) else None
+        if name is not None and name not in owners:
+            uses.add(name)
+        stack.extend((child, owners) for child in ast.iter_child_nodes(node))
+    return uses
+
+
+def test_every_export_is_used_by_the_package():
+    # no public API exists only for its own test
+    init = next(path for path in SOURCES if path.name == "__init__.py")
+    exported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    used = set().union(
+        *(_uses(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES if path != init)
+    )
+    assert exported, "no exports found"
+    assert sorted(exported - used) == []

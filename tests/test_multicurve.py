@@ -7,7 +7,6 @@ from slopecalc import (
     BoundaryData,
     MulticurveCoordinates,
     enumerate_multicurves,
-    is_tight_candidate,
 )
 from slopecalc.multicurve import parse_boundary, parse_coordinates
 
@@ -49,7 +48,9 @@ class TestEnumerate:
             bd = BoundaryData(rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6))
             for mode in (True, False):
                 for m in enumerate_multicurves(bd, mode):
-                    assert m.satisfies(bd)
+                    assert m.n12 + m.n13 + 2 * m.b1 == 2 * bd.k1
+                    assert m.n12 + m.n23 + 2 * m.b2 == 2 * bd.k2
+                    assert m.n13 + m.n23 + 2 * m.b3 == 2 * bd.k3
                     if not mode:
                         assert (m.b1, m.b2, m.b3) == (0, 0, 0)
 
@@ -116,17 +117,6 @@ class TestEquivariance:
                 }
                 direct = set(enumerate_multicurves(BoundaryData(*permuted_k), True))
                 assert image == direct, (k, sigma)
-
-
-class TestTightCandidate:
-    def test_three_arcs_configuration(self):
-        assert is_tight_candidate(coords(1, 1, 1, 0, 0, 0))
-
-    def test_boundary_parallel_excluded(self):
-        assert not is_tight_candidate(coords(2, 0, 0, 0, 0, 1))
-
-    def test_empty_is_vacuously_tight(self):
-        assert is_tight_candidate(coords(0, 0, 0, 0, 0, 0))
 
 
 class TestParsing:
