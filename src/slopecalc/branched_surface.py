@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from math import gcd
 
 ROLES = ("out1", "out2", "in")
 BOUNDARY_CLASSES = ("essential", "disk-bounding")
+# enumerate_weights stops with ValueError rather than hold more solutions than this
+MAX_SOLUTIONS = 100_000
 
 
 @dataclass(frozen=True)
@@ -130,6 +133,31 @@ def check_weights(surface: BranchedSurface, w: dict[str, int]) -> bool:
     )
 
 
+def _echelon(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Row-echelon form of the equations sum(c * w[j] for j, c in row.items()) == 0
+    as {pivot: row}, a row's pivot being its largest position, no two rows sharing one.
+
+    Fraction-free sparse elimination (Cohen, GTM 138, 2.2): while a row's
+    largest position p is another row's pivot, p is cancelled by the
+    gcd-reduced cross multiple and the row divided by its content.  The system
+    keeps its solutions, so each pivot position is fixed by the positions
+    before it.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row and (p := max(row)) in pivots:
+            pivot = pivots[p]
+            g = gcd(row[p], pivot[p])
+            c, d = row[p] // g, pivot[p] // g
+            row = {j: d * row.get(j, 0) - c * pivot.get(j, 0) for j in row.keys() | pivot}
+            row = {j: v for j, v in row.items() if v}
+            content = gcd(*row.values())
+            row = {j: v // content for j, v in row.items()}
+        if row:
+            pivots[max(row)] = row
+    return pivots
+
+
 def enumerate_weights(
     surface: BranchedSurface,
     max_weight: int,
@@ -139,10 +167,15 @@ def enumerate_weights(
 
     lo is 0 for "nonnegative" and 1 for "positive".  Output is ordered
     lexicographically on the value tuple taken in sorted-sector-id order.
-    Depth-first search over value-tuple prefixes on an explicit stack (no
-    recursion, whatever the sector count), checking each branch equation once
-    its deepest sector is assigned.  Values are pushed in descending order, so
-    the smallest is popped first and its subtree finishes before any sibling's.
+    The branch equations are brought to echelon form once (_echelon), which
+    splits the sectors into free ones and determined ones, each determined
+    sector fixed by the sectors that sort before it.  A depth-first search on
+    an explicit stack runs each free sector from lo to max_weight and computes
+    each determined one from the prefix, pruning when it is not an integer in
+    [lo, max_weight]; so the cost follows the free sectors and the solutions,
+    not the (max_weight + 1)^n grid.  Popping a free value pushes its
+    successor before its children, which keeps the stack shallow and the
+    order lexicographic.  Past MAX_SOLUTIONS solutions: ValueError.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
@@ -151,24 +184,39 @@ def enumerate_weights(
     lo = 0 if positivity == "nonnegative" else 1
     ids = sorted(set(surface.sector_ids()))
     index = {sid: i for i, sid in enumerate(ids)}
-    # (out1, out2, in) positions of each curve, bucketed at the deepest one
-    checks_at: list[list[tuple[int, int, int]]] = [[] for _ in ids]
+    equations = []
     for c in surface.branch_curves:
-        positions = (index[c.out1], index[c.out2], index[c.inward])
-        checks_at[max(positions)].append(positions)
+        row: dict[int, int] = {}
+        for sid, sign in ((c.out1, 1), (c.out2, 1), (c.inward, -1)):
+            row[index[sid]] = row.get(index[sid], 0) + sign
+        equations.append({j: v for j, v in row.items() if v})
+    # determined position p: d * w[p] == sum(c * w[j] for j, c in terms), all j < p
+    solved = {
+        p: (row[p], tuple((j, -c) for j, c in row.items() if j != p))
+        for p, row in _echelon(equations).items()
+    }
 
     solutions: list[dict[str, int]] = []
     stack: list[tuple[int, ...]] = [()]
     while stack:
         prefix = stack.pop()
         depth = len(prefix)
+        if depth and depth - 1 not in solved and prefix[-1] < max_weight:
+            stack.append(prefix[:-1] + (prefix[-1] + 1,))
         if depth == len(ids):
+            if len(solutions) == MAX_SOLUTIONS:
+                raise ValueError(
+                    f"more than {MAX_SOLUTIONS} solutions with weights up to {max_weight}"
+                )
             solutions.append(dict(zip(ids, prefix)))
+        elif depth not in solved:
+            if lo <= max_weight:
+                stack.append(prefix + (lo,))
         else:
-            for value in range(max_weight, lo - 1, -1):
-                w = prefix + (value,)
-                if all(w[i] + w[j] == w[k] for i, j, k in checks_at[depth]):
-                    stack.append(w)
+            d, terms = solved[depth]
+            value, rest = divmod(sum(c * prefix[j] for j, c in terms), d)
+            if not rest and lo <= value <= max_weight:
+                stack.append(prefix + (value,))
     return solutions
 
 

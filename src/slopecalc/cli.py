@@ -210,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     weights_sub = weights_sub.add_subparsers(dest="action", required=True)
     p = leaf(weights_sub, "solve", "enumerate valid weight functions", _solve, _solve_text)
     p.add_argument("--input", required=True, help="surface document (JSON)")
-    p.add_argument("--max", type=int, required=True, help="largest weight to consider")
+    p.add_argument(
+        "--max", type=int, required=True,
+        help=f"largest weight to consider; more than {bs.MAX_SOLUTIONS} solutions exit 1",
+    )
     p.add_argument("--positive", action="store_true", help="require weights >= 1")
     p = leaf(
         weights_sub, "check", "check the branch equations", _check,
@@ -238,7 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = leaf(sub, "seifert", "small-Seifert slope analysis", _seifert, _seifert_text)
     p.add_argument("--triple", type=_arg(seifert.parse_triple), required=True)
     p.add_argument(
-        "--kmax", type=_arg(Fraction, "cannot parse rational {!r}"), default=Fraction(5)
+        "--kmax", type=_arg(Fraction, "cannot parse rational {!r}"), default=Fraction(5),
+        help=f"largest k (default 5); more than {seifert.MAX_ROWS} rows exit 1",
     )
 
     p = leaf(

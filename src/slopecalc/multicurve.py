@@ -65,16 +65,6 @@ class MulticurveCoordinates:
         return f"({self.n12},{self.n13},{self.n23}|{self.b1},{self.b2},{self.b3})"
 
 
-def parse_coordinates(text: str) -> MulticurveCoordinates:
-    stripped = text.strip()
-    if not (stripped.startswith("(") and stripped.endswith(")")) or "|" not in stripped:
-        raise ValueError(f"cannot parse multicurve coordinates {text!r}")
-    arcs, parallels = stripped[1:-1].split("|")
-    n12, n13, n23 = (int(p) for p in arcs.split(","))
-    b1, b2, b3 = (int(p) for p in parallels.split(","))
-    return MulticurveCoordinates(n12, n13, n23, b1, b2, b3)
-
-
 def enumerate_multicurves(
     bd: BoundaryData, allow_boundary_parallel: bool
 ) -> list[MulticurveCoordinates]:

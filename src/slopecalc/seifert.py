@@ -32,6 +32,8 @@ from .farey import Slope, is_edge, parse_slope, successor
 VERDICT_FINITE = "GCS finite"
 VERDICT_TORUS_BUNDLE = "torus-bundle candidate"
 VERDICT_EDGE_FAILS = "edge condition fails for large k"
+# analyze rejects a k_max that needs more evidence rows than this
+MAX_ROWS = 10_000
 
 CASE2_NOTE = "Case-2 assumption violated (zero-twisting torus exists)"
 EMPTY_FAMILY_NOTE = (
@@ -275,7 +277,8 @@ def analyze(t: SeifertTriple, k_max: Fraction | int) -> AnalysisReport:
     For every admissible k <= k_max the report carries s_k, the determinant,
     the edge check and the coprimality check; the verdict separates e != 0
     (finite), e = 0 with sum 1/a_i = 1 (torus-bundle candidate), and e = 0
-    otherwise (edge condition must eventually fail).
+    otherwise (edge condition must eventually fail).  A k_max that needs more
+    than MAX_ROWS rows raises ValueError before any row is built.
     """
     k_max = Fraction(k_max)
     normalized = normalize(t)
@@ -294,7 +297,10 @@ def analyze(t: SeifertTriple, k_max: Fraction | int) -> AnalysisReport:
     rows = ()
     if family is not None:
         g = family.step.denominator
-        rows = tuple(evidence(family, Fraction(m, g)) for m in range(floor(k_max * g) + 1))
+        count = floor(k_max * g) + 1
+        if count > MAX_ROWS:
+            raise ValueError(f"k_max {k_max} needs {count} rows, more than {MAX_ROWS}")
+        rows = tuple(evidence(family, Fraction(m, g)) for m in range(count))
 
     note = None
     if family is None:

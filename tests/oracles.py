@@ -6,12 +6,15 @@ in a window, the path oracle runs breadth-first search on the
 bounded-denominator Farey graph, and the weight / multicurve oracles grid the
 full search space, and the Seifert row oracle evaluates the displayed s_k
 formulas in Fraction arithmetic over duals taken from the successor oracle.
-Each oracle takes an explicit bound (default 1000) and raises
+parse_coordinates reads printed multicurve coordinates with a regular
+expression, so a JSON report can be checked without the package's types.
+Each search oracle takes an explicit bound (default 1000) and raises
 OracleBoundError when the bound is provably insufficient.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
@@ -235,6 +238,15 @@ def multicurve_grid(bd, allow_boundary_parallel: bool) -> list[tuple[int, ...]]:
                     continue
                 out.append((n12, n13, n23, b1, b2, b3))
     return sorted(out)
+
+
+def parse_coordinates(text: str) -> tuple[int, ...]:
+    """The six integers of a printed multicurve "(n12,n13,n23|b1,b2,b3)";
+    ValueError on any other text."""
+    match = re.fullmatch(r"\((\d+),(\d+),(\d+)\|(\d+),(\d+),(\d+)\)", text.strip())
+    if match is None:
+        raise ValueError(f"cannot parse multicurve coordinates {text!r}")
+    return tuple(int(group) for group in match.groups())
 
 
 def slope_corpus(max_den: int, max_num: int) -> list[Slope]:

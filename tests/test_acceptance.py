@@ -39,7 +39,6 @@ from slopecalc import (
 )
 from slopecalc.branched_surface import surface_from_dict, surface_to_dict
 from slopecalc.cli import run
-from slopecalc.multicurve import parse_coordinates
 from slopecalc.seifert import VERDICT_FINITE, VERDICT_TORUS_BUNDLE
 
 from oracles import (
@@ -47,6 +46,7 @@ from oracles import (
     grid_weight_solutions,
     multicurve_grid,
     neighbor_below_oracle,
+    parse_coordinates,
     slope_corpus,
     successor_oracle,
 )
@@ -335,9 +335,9 @@ def test_c10_cli_round_trip_determinism(tmp_path, capsys):
             assert str(Fraction(row["k"])) == row["k"]
             assert str(parse_slope(row["s_k"])) == row["s_k"]
         multi_doc = json.loads(outputs[2])
-        assert [str(parse_coordinates(c)) for c in multi_doc["coordinates"]] == multi_doc[
-            "coordinates"
-        ]
+        assert [parse_coordinates(c) for c in multi_doc["coordinates"]] == multicurve_grid(
+            BoundaryData(2, 3, 4), True
+        )
         surf_doc = json.loads(outputs[3])
         assert surface_from_dict(surf_doc) == amputate(surface, {"C"})
         weights_doc = json.loads(outputs[4])

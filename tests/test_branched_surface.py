@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -43,6 +44,14 @@ def chain_surface():
     return BranchedSurface(
         sectors=tuple(SectorRecord(i) for i in "ABCDE"),
         branch_curves=(BranchCurve("A", "B", "C"), BranchCurve("C", "D", "E")),
+    )
+
+
+def curves_surface(ids, *curves):
+    """Sectors named by ids, one branch curve per (out1, out2, in) triple."""
+    return BranchedSurface(
+        sectors=tuple(SectorRecord(i) for i in ids),
+        branch_curves=tuple(BranchCurve(*c) for c in curves),
     )
 
 
@@ -132,11 +141,36 @@ class TestEnumerateWeights:
 
     def test_grid_oracle_equivalence(self):
         rng = random.Random(2)
-        for _ in range(30):
-            surface = random_surface(rng)
+        chain = [f"S{i}" for i in range(4)] + ["Z"]
+        hand_picked = [
+            curves_surface("AB", ("A", "A", "B")),  # B = 2A
+            curves_surface("AB", ("B", "B", "A")),  # A = 2B: a pivot of 2, no B for odd A
+            curves_surface("AB", ("A", "B", "A")),  # B = 0
+            curves_surface("ABC", ("C", "C", "A"), ("C", "C", "B")),  # two pivots of 2 on C
+            curves_surface("ABCD", ("A", "B", "C"), ("B", "A", "C"), ("C", "D", "A")),  # redundant
+            curves_surface("ABC", ("A", "A", "B"), ("B", "B", "A")),  # only A = B = 0
+            curves_surface(chain, *((chain[i], "Z", chain[i + 1]) for i in range(3))),
+        ]
+        for surface in hand_picked + [random_surface(rng) for _ in range(30)]:
             for positivity in ("nonnegative", "positive"):
                 got = enumerate_weights(surface, 5, positivity)
                 assert got == grid_weight_solutions(surface, 5, positivity)
+
+    def test_chain_closed_form(self):
+        # curves (S_i, S_last, S_i+1) force w_i = a + i*d and w_last = d; two
+        # free sectors, so 200 sectors take milliseconds, not 11^200 grid points
+        n = 200
+        ids = [f"S{i:03d}" for i in range(n)]
+        surface = curves_surface(ids, *((ids[i], ids[-1], ids[i + 1]) for i in range(n - 2)))
+        expected = [
+            {**{sid: a + i * d for i, sid in enumerate(ids[:-1])}, ids[-1]: d}
+            for a in range(11)
+            for d in range(11)
+            if a + (n - 2) * d <= 10
+        ]
+        started = time.perf_counter()
+        assert enumerate_weights(surface, 10) == expected
+        assert time.perf_counter() - started < 5.0
 
     def test_cone_closure(self):
         rng = random.Random(3)

@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import slopecalc
-from slopecalc import Slope, amputate, parse_slope
+from slopecalc import BoundaryData, Slope, amputate, parse_slope
 from slopecalc.branched_surface import surface_from_dict
 from slopecalc.cli import load_surface, run
-from slopecalc.multicurve import parse_coordinates
+
+from oracles import multicurve_grid, parse_coordinates
 
 SIMPLE_DOC = {
     "sectors": [
@@ -328,7 +329,7 @@ class TestMulticurveCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["count"] == 5
         parsed = [parse_coordinates(c) for c in doc["coordinates"]]
-        assert [str(m) for m in parsed] == doc["coordinates"]
+        assert parsed == multicurve_grid(BoundaryData(1, 1, 1), True)
 
 
 class TestContract:
@@ -344,6 +345,32 @@ class TestContract:
         assert proc.wait(timeout=60) != 0
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["weights", "solve", "--input", "{two}", "--max", "100000"],
+                "error: more than 100000 solutions with weights up to 100000\n",
+            ),
+            (
+                ["seifert", "--triple", "(1/3,1/5,-1/2)", "--kmax", "1e7"],
+                "error: k_max 10000000 needs 10000001 rows, more than 10000\n",
+            ),
+        ],
+        ids=["weights", "seifert"],
+    )
+    def test_output_caps_exit_one_without_traceback(self, argv, message, tmp_path):
+        # two unconstrained sectors ask for 10^10 weight solutions; 1e7 asks
+        # for 10^7 Seifert rows: both stop at a cap instead of running on
+        two = tmp_path / "two.json"
+        two.write_text(json.dumps({"sectors": [{"id": "A"}, {"id": "B"}]}))
+        env = dict(os.environ, PYTHONPATH=str(Path(slopecalc.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "slopecalc.cli", *(a.format(two=two) for a in argv)],
+            capture_output=True, text=True, env=env, timeout=30,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
     def test_unknown_flag_exits_two(self):
         assert run(["farey", "path", "--from", "1/2", "--to", "inf", "--bogus"]) == 2

@@ -55,17 +55,29 @@ def _uses(tree: ast.AST) -> set[str]:
     return uses
 
 
+def _public_names(tree: ast.Module, is_init: bool) -> set[str]:
+    """Public names a module binds at top level: defs, classes and assignments,
+    plus, in __init__.py, the names it imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif is_init and isinstance(node, ast.ImportFrom):
+            names.update(alias.asname or alias.name for alias in node.names)
+    return {name for name in names if not name.startswith("_")}
+
+
 def test_every_export_is_used_by_the_package():
     # no public API exists only for its own test
-    init = next(path for path in SOURCES if path.name == "__init__.py")
-    exported = {
-        alias.asname or alias.name
-        for node in ast.parse(init.read_text(encoding="utf-8")).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
+    public = {
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _public_names(tree, module == "__init__.py")
     }
-    used = set().union(
-        *(_uses(ast.parse(path.read_text(encoding="utf-8"))) for path in SOURCES if path != init)
-    )
-    assert exported, "no exports found"
-    assert sorted(exported - used) == []
+    used = set().union(*(_uses(tree) for module, tree in trees.items() if module != "__init__.py"))
+    assert public, "no public names found"
+    assert sorted(p for p in public if p.split(":")[1] not in used) == []

@@ -1,24 +1,39 @@
-"""Property tests: canonical slopes, JSON round trips and commuting amputation.
+"""Property tests: canonical slopes, JSON round trips, commuting amputation and
+Seifert normalization.
 
 derandomize=True makes every run draw the same examples and keeps no example
 database; deadline=None keeps a slow machine from failing a correct example.
 """
 
+import io
 import json
+from contextlib import redirect_stdout
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slopecalc import (
+    AnalysisReport,
     BoundaryCurve,
+    BoundaryData,
     BranchCurve,
     BranchedSurface,
+    GcsFamily,
+    KEvidence,
+    MulticurveCoordinates,
     SectorRecord,
+    SeifertTriple,
     Slope,
     VerticalAnnulus,
     amputate,
+    analyze,
+    enumerate_multicurves,
+    euler_number,
+    normalize,
     parse_slope,
+    parse_triple,
 )
 from slopecalc.branched_surface import (
     BOUNDARY_CLASSES,
@@ -27,6 +42,10 @@ from slopecalc.branched_surface import (
     surface_to_dict,
     weights_from_dict,
 )
+from slopecalc.cli import run
+from slopecalc.multicurve import parse_boundary
+
+from oracles import parse_coordinates
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -73,6 +92,32 @@ def surfaces(draw, min_sectors=1):
     )
 
 
+@st.composite
+def seifert_triples(draw):
+    """A normalized triple with b1 and b2 shifted by whole multiples of a1 and
+    a2 and b3 compensating, so that normalize has a shift to undo."""
+    a1, a2, a3 = (draw(st.integers(2, 12)) for _ in range(3))
+    s1 = Slope(draw(st.integers(1, a1 - 1)), a1)
+    s2 = Slope(draw(st.integers(1, a2 - 1)), a2)
+    # -2 < b3/a3 < 0 and b3/a3 != -1, so the reduced a3 stays at least 2
+    s3 = Slope(draw(st.integers(1 - 2 * a3, -1).filter(lambda b: b != -a3)), a3)
+    j1, j2 = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+    return SeifertTriple(
+        (
+            Slope(s1.numerator + j1 * s1.denominator, s1.denominator),
+            Slope(s2.numerator + j2 * s2.denominator, s2.denominator),
+            Slope(s3.numerator - (j1 + j2) * s3.denominator, s3.denominator),
+        )
+    )
+
+
+def json_report(argv: list[str]) -> dict:
+    """The document `slopecalc ... --format json` prints."""
+    with redirect_stdout(io.StringIO()) as out:
+        assert run([*argv, "--format", "json"]) == 0
+    return json.loads(out.getvalue())
+
+
 class TestSlopeCanonicalForm:
     @PROPERTY
     @given(pairs(), nonzero)
@@ -108,6 +153,51 @@ class TestJsonRoundTrips:
     @given(surfaces())
     def test_surface_document(self, surface):
         assert surface_from_dict(json.loads(json.dumps(surface_to_dict(surface)))) == surface
+
+    @PROPERTY
+    @given(seifert_triples(), st.integers(-1, 24))
+    def test_seifert_report(self, triple, quarters):
+        k_max = Fraction(quarters, 4)
+        doc = json_report(["seifert", f"--triple={triple}", f"--kmax={k_max}"])
+        normalized = parse_triple(doc["normalized"])
+        family = None
+        if "duals" in doc:
+            duals = tuple(parse_slope(d) for d in doc["duals"])
+            family = GcsFamily(normalized, duals, doc["r1"], doc["r2"], Fraction(doc["step"]))
+        rows = tuple(
+            KEvidence(
+                Fraction(r["k"]), r["k1"], r["k2"], parse_slope(r["s_k"]),
+                r["determinant"], r["edge"], r["coprime"],
+            )
+            for r in doc["rows"]
+        )
+        reparsed = AnalysisReport(
+            parse_triple(doc["triple"]), normalized, Fraction(doc["euler"]),
+            doc["torus_bundle"], parse_slope(doc["limit"]), family, rows,
+            doc["verdict"], doc.get("note"),
+        )
+        assert reparsed == analyze(triple, k_max)
+
+    @PROPERTY
+    @given(st.tuples(*[st.integers(0, 8)] * 3), st.booleans())
+    def test_multicurve_report(self, ks, allow):
+        bd = BoundaryData(*ks)
+        flags = ["--allow-boundary-parallel"] if allow else []
+        doc = json_report(["multicurve", f"--boundary={bd}", *flags])
+        assert parse_boundary(doc["boundary"]) == bd
+        assert doc["allow_boundary_parallel"] is allow
+        coordinates = [MulticurveCoordinates(*parse_coordinates(c)) for c in doc["coordinates"]]
+        assert coordinates == enumerate_multicurves(bd, allow)
+        assert doc["count"] == len(coordinates)
+
+
+class TestSeifertNormalization:
+    @PROPERTY
+    @given(seifert_triples())
+    def test_normalize_preserves_euler_number(self, triple):
+        normalized = normalize(triple)
+        assert normalized.is_normalized()
+        assert euler_number(normalized) == euler_number(triple)
 
 
 class TestAmputation:
