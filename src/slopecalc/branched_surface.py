@@ -16,8 +16,9 @@ characteristic is the linear functional sum(w(B) * cusped_euler(B)).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from math import gcd
+
+from .farey import Value
 
 ROLES = ("out1", "out2", "in")
 BOUNDARY_CLASSES = ("essential", "disk-bounding")
@@ -25,72 +26,69 @@ BOUNDARY_CLASSES = ("essential", "disk-bounding")
 MAX_SOLUTIONS = 100_000
 
 
-@dataclass(frozen=True)
-class SectorRecord:
+class SectorRecord(Value):
     """A sector: one connected component of the surface minus the branch locus."""
 
-    id: str
-    cusped_euler: int = 0
-    boundary: bool = False
+    __slots__ = ("id", "cusped_euler", "boundary")
+
+    def __init__(self, id: str, cusped_euler: int = 0, boundary: bool = False) -> None:
+        super().__init__(id, cusped_euler, boundary)
 
 
-@dataclass(frozen=True)
-class BranchCurve:
+class BranchCurve(Value):
     """One branch-locus component, oriented by its branching direction.
 
     The branch equation along the curve reads w(out1) + w(out2) = w(inward).
     The three sector ids need not be distinct.
     """
 
-    out1: str
-    out2: str
-    inward: str
+    __slots__ = ("out1", "out2", "inward")
+
+    def __init__(self, out1: str, out2: str, inward: str) -> None:
+        super().__init__(out1, out2, inward)
 
 
-@dataclass(frozen=True)
-class BoundaryCurve:
+class BoundaryCurve(Value):
     """A surviving sector incidence left behind when a branch curve is deleted."""
 
-    sector: str
-    role: str
+    __slots__ = ("sector", "role")
 
-    def __post_init__(self) -> None:
-        if self.role not in ROLES:
-            raise ValueError(f"unknown incidence role {self.role!r}")
+    def __init__(self, sector: str, role: str) -> None:
+        if role not in ROLES:
+            raise ValueError(f"unknown incidence role {role!r}")
+        super().__init__(sector, role)
 
 
-@dataclass(frozen=True)
-class VerticalAnnulus:
+class VerticalAnnulus(Value):
     """Degree and boundary-class bookkeeping for one vertical boundary annulus."""
 
-    id: str
-    degree: int
-    boundary_classes: tuple[str, str]
+    __slots__ = ("id", "degree", "boundary_classes")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
-            raise ValueError(f"annulus {self.id}: negative degree {self.degree}")
-        classes = tuple(self.boundary_classes)
-        object.__setattr__(self, "boundary_classes", classes)
+    def __init__(self, id: str, degree: int, boundary_classes: tuple[str, str]) -> None:
+        if degree < 0:
+            raise ValueError(f"annulus {id}: negative degree {degree}")
+        classes = tuple(boundary_classes)
         if len(classes) != 2:
-            raise ValueError(f"annulus {self.id}: needs two boundary classes, got {len(classes)}")
+            raise ValueError(f"annulus {id}: needs two boundary classes, got {len(classes)}")
         for tag in classes:
             if tag not in BOUNDARY_CLASSES:
-                raise ValueError(f"annulus {self.id}: unknown boundary class {tag!r}")
+                raise ValueError(f"annulus {id}: unknown boundary class {tag!r}")
+        super().__init__(id, degree, classes)
 
 
-@dataclass(frozen=True)
-class BranchedSurface:
-    sectors: tuple[SectorRecord, ...] = ()
-    branch_curves: tuple[BranchCurve, ...] = ()
-    boundary_curves: tuple[BoundaryCurve, ...] = ()
-    vertical_annuli: tuple[VerticalAnnulus, ...] = ()
+class BranchedSurface(Value):
+    __slots__ = ("sectors", "branch_curves", "boundary_curves", "vertical_annuli")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sectors", tuple(self.sectors))
-        object.__setattr__(self, "branch_curves", tuple(self.branch_curves))
-        object.__setattr__(self, "boundary_curves", tuple(self.boundary_curves))
-        object.__setattr__(self, "vertical_annuli", tuple(self.vertical_annuli))
+    def __init__(
+        self,
+        sectors: tuple[SectorRecord, ...] = (),
+        branch_curves: tuple[BranchCurve, ...] = (),
+        boundary_curves: tuple[BoundaryCurve, ...] = (),
+        vertical_annuli: tuple[VerticalAnnulus, ...] = (),
+    ) -> None:
+        super().__init__(
+            tuple(sectors), tuple(branch_curves), tuple(boundary_curves), tuple(vertical_annuli)
+        )
 
     def sector_ids(self) -> list[str]:
         return [s.id for s in self.sectors]
@@ -175,7 +173,8 @@ def enumerate_weights(
     [lo, max_weight]; so the cost follows the free sectors and the solutions,
     not the (max_weight + 1)^n grid.  Popping a free value pushes its
     successor before its children, which keeps the stack shallow and the
-    order lexicographic.  Past MAX_SOLUTIONS solutions: ValueError.
+    order lexicographic.  A sector forced to 0 ends a positive search at once.
+    Past MAX_SOLUTIONS solutions: ValueError.
     """
     if max_weight < 0:
         raise ValueError("max_weight must be nonnegative")
@@ -195,6 +194,8 @@ def enumerate_weights(
         p: (row[p], tuple((j, -c) for j, c in row.items() if j != p))
         for p, row in _echelon(equations).items()
     }
+    if lo and any(not terms for _, terms in solved.values()):
+        return []  # an echelon row holding only its pivot forces that sector to 0
 
     solutions: list[dict[str, int]] = []
     stack: list[tuple[int, ...]] = [()]
@@ -265,7 +266,7 @@ def amputate(surface: BranchedSurface, sector_ids: set[str]) -> BranchedSurface:
 
     touched = {bc.sector for bc in boundary}
     sectors = tuple(
-        replace(s, boundary=True) if not s.boundary and s.id in touched else s
+        SectorRecord(s.id, s.cusped_euler, True) if not s.boundary and s.id in touched else s
         for s in surface.sectors
         if s.id not in removed
     )

@@ -9,42 +9,69 @@ arbitrary-precision ints; there is no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from math import gcd
+from operator import attrgetter
 
 
 class FareyError(ValueError):
     """A slope argument violates the contract of a Farey operation."""
 
 
+class Value:
+    """Frozen value on the fields a subclass lists in __slots__, in constructor
+    order: equality and hashing within one class, Name(field=value, ...) repr,
+    pickling.  Hot constructors skip Value.__init__ for object.__setattr__."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)  # one field: bare, compared like its 1-tuple
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._key(self) == self._key(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__qualname__} is frozen: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 @total_ordering
-@dataclass(frozen=True)
-class Slope:
+class Slope(Value):
     """An extended rational p/q, canonicalized on construction.
 
     Invariants: gcd(|p|, q) = 1; q > 0 for finite slopes (sign lives on the
     numerator); infinity is exactly the pair (1, 0).
     """
 
-    numerator: int
-    denominator: int = 1
+    __slots__ = ("numerator", "denominator")
 
-    def __post_init__(self) -> None:
-        p, q = self.numerator, self.denominator
-        if q == 0:
-            if p == 0:
-                raise FareyError("0/0 is not a slope")
-            p = 1
-        else:
-            if q < 0:
-                p, q = -p, -q
-            g = gcd(abs(p), q)
-            p //= g
-            q //= g
-        object.__setattr__(self, "numerator", p)
-        object.__setattr__(self, "denominator", q)
+    def __init__(self, numerator: int, denominator: int = 1) -> None:
+        g = gcd(numerator, denominator)
+        if not g:
+            raise FareyError("0/0 is not a slope")
+        if denominator < 0:
+            g = -g
+        # q = 0 gives g = |p|; infinity is stored as 1/0 whatever the sign of p
+        object.__setattr__(self, "numerator", numerator // g if denominator else 1)
+        object.__setattr__(self, "denominator", denominator // g)
 
     @property
     def is_infinite(self) -> bool:
@@ -53,7 +80,7 @@ class Slope:
     def __lt__(self, other: object) -> bool:
         if not isinstance(other, Slope):
             return NotImplemented
-        if self == other or self.is_infinite:
+        if self.is_infinite:  # equal finite slopes fail the final strict test
             return False
         if other.is_infinite:
             return True
@@ -147,19 +174,17 @@ def greatest_neighbor_below(a: Slope, upper: Slope) -> Slope:
     return Slope(s.numerator + t * p, s.denominator + t * q)
 
 
-@dataclass(frozen=True)
-class FareyPath:
+class FareyPath(Value):
     """A strictly increasing edge path in the Farey tessellation.
 
     Consecutive vertices span edges, values strictly increase, and infinity
     may appear only as the final vertex.
     """
 
-    vertices: tuple[Slope, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self) -> None:
-        vertices = tuple(self.vertices)
-        object.__setattr__(self, "vertices", vertices)
+    def __init__(self, vertices: tuple[Slope, ...]) -> None:
+        super().__init__(vertices := tuple(vertices))
         if not vertices:
             raise FareyError("empty path")
         for i, (x, y) in enumerate(zip(vertices, vertices[1:])):

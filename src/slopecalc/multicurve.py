@@ -16,20 +16,18 @@ and enumeration is exact integer search over that system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .farey import Value
 
 
-@dataclass(frozen=True)
-class BoundaryData:
+class BoundaryData(Value):
     """Half the endpoint count on each boundary circle."""
 
-    k1: int
-    k2: int
-    k3: int
+    __slots__ = ("k1", "k2", "k3")
 
-    def __post_init__(self) -> None:
-        if min(self.k1, self.k2, self.k3) < 0:
+    def __init__(self, k1: int, k2: int, k3: int) -> None:
+        if min(k1, k2, k3) < 0:
             raise ValueError("endpoint counts must be nonnegative")
+        super().__init__(k1, k2, k3)
 
     def __str__(self) -> str:
         return f"{self.k1},{self.k2},{self.k3}"
@@ -42,24 +40,24 @@ def parse_boundary(text: str) -> BoundaryData:
     return BoundaryData(*(int(p) for p in parts))
 
 
-@dataclass(frozen=True)
-class MulticurveCoordinates:
+class MulticurveCoordinates(Value):
     """Arc weights of a multicurve, up to non-relative isotopy.
 
     Relative classes differ from these by Dehn twists along the boundary,
     which the coordinates do not record.
     """
 
-    n12: int
-    n13: int
-    n23: int
-    b1: int
-    b2: int
-    b3: int
+    __slots__ = ("n12", "n13", "n23", "b1", "b2", "b3")
 
-    def __post_init__(self) -> None:
-        if min(self.n12, self.n13, self.n23, self.b1, self.b2, self.b3) < 0:
+    def __init__(self, n12: int, n13: int, n23: int, b1: int, b2: int, b3: int) -> None:
+        if min(n12, n13, n23, b1, b2, b3) < 0:
             raise ValueError("arc weights must be nonnegative")
+        object.__setattr__(self, "n12", n12)
+        object.__setattr__(self, "n13", n13)
+        object.__setattr__(self, "n23", n23)
+        object.__setattr__(self, "b1", b1)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "b3", b3)
 
     def __str__(self) -> str:
         return f"({self.n12},{self.n13},{self.n23}|{self.b1},{self.b2},{self.b3})"

@@ -23,11 +23,10 @@ eventually fail and only finitely many candidate slopes survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import floor, gcd
 
-from .farey import Slope, is_edge, parse_slope, successor
+from .farey import Slope, Value, is_edge, parse_slope, successor
 
 VERDICT_FINITE = "GCS finite"
 VERDICT_TORUS_BUNDLE = "torus-bundle candidate"
@@ -61,15 +60,13 @@ class InadmissibleK(ValueError):
     """k is negative or not a multiple of the family step."""
 
 
-@dataclass(frozen=True)
-class SeifertTriple:
+class SeifertTriple(Value):
     """Ordered Seifert invariants (b1/a1, b2/a2, b3/a3), all finite."""
 
-    invariants: tuple[Slope, Slope, Slope]
+    __slots__ = ("invariants",)
 
-    def __post_init__(self) -> None:
-        invariants = tuple(self.invariants)
-        object.__setattr__(self, "invariants", invariants)
+    def __init__(self, invariants: tuple[Slope, Slope, Slope]) -> None:
+        super().__init__(invariants := tuple(invariants))
         if len(invariants) != 3:
             raise ValueError("a Seifert triple has exactly three invariants")
         for slope in invariants:
@@ -140,8 +137,7 @@ def dual_invariants(t: SeifertTriple) -> tuple[Slope, Slope]:
     return successor(t.invariants[0]), successor(t.invariants[1])
 
 
-@dataclass(frozen=True)
-class GcsFamily:
+class GcsFamily(Value):
     """The solution family of k1*a1 + a1' = k2*a2 + a2'.
 
     k runs over nonnegative multiples of step = 1/gcd(a1, a2), with
@@ -149,11 +145,12 @@ class GcsFamily:
     r1 minimal nonnegative.
     """
 
-    base: SeifertTriple
-    duals: tuple[Slope, Slope]
-    r1: int
-    r2: int
-    step: Fraction
+    __slots__ = ("base", "duals", "r1", "r2", "step")
+
+    def __init__(
+        self, base: SeifertTriple, duals: tuple[Slope, Slope], r1: int, r2: int, step: Fraction
+    ) -> None:
+        super().__init__(base, duals, r1, r2, step)
 
 
 def gcs_family(t: SeifertTriple) -> GcsFamily | None:
@@ -180,17 +177,22 @@ def gcs_family(t: SeifertTriple) -> GcsFamily | None:
     return GcsFamily(base=t, duals=(d1, d2), r1=r1, r2=r2, step=Fraction(1, g))
 
 
-@dataclass(frozen=True)
-class KEvidence:
+class KEvidence(Value):
     """One audited row of the analysis: the checks at a single admissible k."""
 
-    k: Fraction
-    k1: int
-    k2: int
-    s_k: Slope
-    determinant: int
-    edge: bool
-    coprime: bool
+    __slots__ = ("k", "k1", "k2", "s_k", "determinant", "edge", "coprime")
+
+    def __init__(
+        self, k: Fraction, k1: int, k2: int, s_k: Slope, determinant: int, edge: bool,
+        coprime: bool,
+    ) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "s_k", s_k)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "edge", edge)
+        object.__setattr__(self, "coprime", coprime)
 
 
 def evidence(family: GcsFamily, k: Fraction | int) -> KEvidence:
@@ -258,17 +260,20 @@ def is_torus_bundle(t: SeifertTriple) -> bool:
     return bundle
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    triple: SeifertTriple
-    normalized: SeifertTriple
-    euler: Fraction
-    torus_bundle: bool
-    limit: Slope
-    family: GcsFamily | None
-    rows: tuple[KEvidence, ...]
-    verdict: str
-    note: str | None = None
+class AnalysisReport(Value):
+    __slots__ = (
+        "triple", "normalized", "euler", "torus_bundle", "limit", "family", "rows", "verdict",
+        "note",
+    )
+
+    def __init__(
+        self, triple: SeifertTriple, normalized: SeifertTriple, euler: Fraction,
+        torus_bundle: bool, limit: Slope, family: GcsFamily | None, rows: tuple[KEvidence, ...],
+        verdict: str, note: str | None = None,
+    ) -> None:
+        super().__init__(
+            triple, normalized, euler, torus_bundle, limit, family, rows, verdict, note
+        )
 
 
 def analyze(t: SeifertTriple, k_max: Fraction | int) -> AnalysisReport:

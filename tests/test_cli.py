@@ -372,6 +372,24 @@ class TestContract:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", message)
 
+    def test_positive_search_with_a_forced_zero_sector_ends_at_once(self, tmp_path):
+        # the curve (A, B, A) forces B = 0, so no positive weight exists at any
+        # --max; the search used to run every value of A first
+        path = tmp_path / "aba.json"
+        path.write_text(json.dumps({
+            "sectors": [{"id": "A"}, {"id": "B"}],
+            "branch_curves": [{"out1": "A", "out2": "B", "in": "A"}],
+        }))
+        env = dict(os.environ, PYTHONPATH=str(Path(slopecalc.__file__).parents[1]))
+        argv = ["weights", "solve", "--input", str(path), "--positive", "--max", str(10**12)]
+        proc = subprocess.run(
+            [sys.executable, "-m", "slopecalc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "sectors: A, B\n0 solution(s)\n", ""
+        )
+
     def test_unknown_flag_exits_two(self):
         assert run(["farey", "path", "--from", "1/2", "--to", "inf", "--bogus"]) == 2
 

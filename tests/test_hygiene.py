@@ -1,6 +1,9 @@
 """Source-level rules that keep the package's own checks meaningful."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "slopecalc").glob("*.py"))
@@ -81,3 +84,26 @@ def test_every_export_is_used_by_the_package():
     used = set().union(*(_uses(tree) for module, tree in trees.items() if module != "__init__.py"))
     assert public, "no public names found"
     assert sorted(p for p in public if p.split(":")[1] not in used) == []
+
+
+def test_package_and_cli_import_leave_out_dataclasses():
+    # importing dataclasses (and the inspect module it pulls in) costs every
+    # CLI query milliseconds of start-up; the value types are plain __slots__ classes
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+    ]
+    assert found == []
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parents[1]))
+    # only what the import adds counts, not what interpreter start-up loads
+    probe = (
+        "import sys; before = set(sys.modules); import slopecalc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=30
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

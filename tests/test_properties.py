@@ -1,5 +1,5 @@
-"""Property tests: canonical slopes, JSON round trips, commuting amputation and
-Seifert normalization.
+"""Property tests: canonical slopes, shortest Farey paths, JSON round trips,
+commuting amputation and Seifert normalization.
 
 derandomize=True makes every run draw the same examples and keeps no example
 database; deadline=None keeps a slow machine from failing a correct example.
@@ -11,10 +11,11 @@ from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from slopecalc import (
+    INFINITY,
     AnalysisReport,
     BoundaryCurve,
     BoundaryData,
@@ -34,6 +35,7 @@ from slopecalc import (
     normalize,
     parse_slope,
     parse_triple,
+    shortest_increasing_path,
 )
 from slopecalc.branched_surface import (
     BOUNDARY_CLASSES,
@@ -45,7 +47,7 @@ from slopecalc.branched_surface import (
 from slopecalc.cli import run
 from slopecalc.multicurve import parse_boundary
 
-from oracles import parse_coordinates
+from oracles import bfs_path_length, parse_coordinates
 
 PROPERTY = settings(derandomize=True, deadline=None)
 
@@ -141,6 +143,19 @@ class TestSlopeCanonicalForm:
     def test_text_round_trip(self, pq):
         s = Slope(*pq)
         assert parse_slope(str(s)) == s
+
+
+class TestShortestPath:
+    small_slopes = st.builds(Slope, st.integers(-12, 12), st.integers(1, 6))
+
+    @PROPERTY
+    @given(small_slopes, small_slopes | st.just(INFINITY))
+    def test_length_matches_bfs_oracle(self, a, b):
+        # a bound of 8x the largest endpoint denominator lets the search find
+        # any shorter path through larger denominators
+        assume(a != b)
+        a, b = min(a, b), max(a, b)
+        assert len(shortest_increasing_path(a, b)) == bfs_path_length(a, b, bound=48)
 
 
 class TestJsonRoundTrips:
