@@ -20,7 +20,6 @@ from .branched_surface import (
 from .farey import (
     INFINITY,
     FareyError,
-    FareyPath,
     Slope,
     greatest_neighbor_below,
     intersection_number,

@@ -91,11 +91,6 @@ class Slope(Value):
             raise FareyError("infinity has no fraction value")
         return Fraction(self.numerator, self.denominator)
 
-    @classmethod
-    def from_fraction(cls, value: Fraction | int) -> Slope:
-        value = Fraction(value)
-        return cls(value.numerator, value.denominator)
-
     def __str__(self) -> str:
         if self.is_infinite:
             return "inf"
@@ -174,58 +169,39 @@ def greatest_neighbor_below(a: Slope, upper: Slope) -> Slope:
     return Slope(s.numerator + t * p, s.denominator + t * q)
 
 
-class FareyPath(Value):
-    """A strictly increasing edge path in the Farey tessellation.
-
-    Consecutive vertices span edges, values strictly increase, and infinity
-    may appear only as the final vertex.
-    """
-
-    __slots__ = ("vertices",)
-
-    def __init__(self, vertices: tuple[Slope, ...]) -> None:
-        super().__init__(vertices := tuple(vertices))
-        if not vertices:
-            raise FareyError("empty path")
-        for i, (x, y) in enumerate(zip(vertices, vertices[1:])):
-            if not x < y:
-                raise FareyError(f"path not increasing at position {i}: {x} -> {y}")
-            if not is_edge(x, y):
-                raise FareyError(f"consecutive vertices {x}, {y} span no edge")
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __str__(self) -> str:
-        return ", ".join(str(v) for v in self.vertices)
-
-
-def shortest_increasing_path(start: Slope, to: Slope) -> FareyPath:
+def shortest_increasing_path(start: Slope, to: Slope) -> tuple[Slope, ...]:
     """The shortest strictly increasing edge path from start to to.
 
     Greedy on the largest admissible neighbor.  Any increasing path from a
-    vertex below the edge (x, y*) to a vertex above it must pass through y*
-    (Farey edges do not cross), so taking y* = the greatest neighbor of x
-    not exceeding the target never lengthens the path; this is the
+    vertex below the edge (y, n) to a vertex above it must pass through n
+    (Farey edges do not cross), so stepping from y to n = its greatest
+    neighbor below the target never lengthens the path; this is the
     continued-fraction expansion of the target relative to the start.
+
+    One integer recurrence: keep the previous vertex x and the current vertex
+    y as integer pairs, with A = I(y, to) and B = I(x, to) taken with sign,
+    from x = start - successor(start).  The neighbors of y are the pairs
+    j*y - x, with signed I(j*y - x, to) = j*A - B; the least j with
+    j*A > B, j = B // A + 1, gives the greatest one below to, and its A is
+    j*A - B = A - B mod A.  x and y span an edge, so gcd(A, B) = 1, and
+    while A > 1 B mod A is nonzero, so A falls at every step.  At A = 1, y
+    has an edge to to: the last step.
     """
     if not start < to:
         raise FareyError(f"path requires start < target, got {start} >= {to}")
+    u, v = to.numerator, to.denominator
+    s = successor(start)
+    yp, yq = start.numerator, start.denominator
+    xp, xq = yp - s.numerator, yq - s.denominator
+    a, b = u * yq - v * yp, u * xq - v * xp
     vertices = [start]
-    x = start
-    guard = intersection_number(x, to)
-    while x != to:
-        y = to if is_edge(x, to) else greatest_neighbor_below(x, to)
-        vertices.append(y)
-        x = y
-        step = intersection_number(x, to)
-        if x != to and step >= guard:
-            raise RuntimeError("path search failed to make progress")
-        guard = step
-    return FareyPath(tuple(vertices))
+    while a > 1:
+        j = b // a + 1
+        xp, xq, yp, yq = yp, yq, j * yp - xp, j * yq - xq
+        a, b = a - b % a, a
+        vertices.append(Slope(yp, yq))
+    vertices.append(to)
+    return tuple(vertices)
 
 
 def mediant(a: Slope, b: Slope) -> Slope:

@@ -69,12 +69,17 @@ def enumerate_multicurves(
     """All coordinate vectors meeting the endpoint equations, in lex order.
 
     With allow_boundary_parallel False the b_i are pinned to zero (the tight
-    case); infeasible boundary data yields the empty list.  Lexicographic
-    order on (n12, n13, n23, b1, b2, b3); since the b_i are determined by the
-    n_ij, ordering the n-loops ascending suffices.  Integer b1 and b2 need
-    n13 = n12 = n23 (mod 2), which makes b3 an integer too; so the n13 and
-    n23 loops step by 2 from n12 % 2 and every point they visit is integral.
+    case), and the equations fix n_ij = k_i + k_j - k_l for {i, j, l} =
+    {1, 2, 3}: one vector when all three are nonnegative, none otherwise.
+    Lexicographic order on (n12, n13, n23, b1, b2, b3); since the b_i are
+    determined by the n_ij, ordering the n-loops ascending suffices.  Integer
+    b1 and b2 need n13 = n12 = n23 (mod 2), which makes b3 an integer too; so
+    the n13 and n23 loops step by 2 from n12 % 2 and every point they visit
+    is integral.
     """
+    if not allow_boundary_parallel:
+        n = (bd.k1 + bd.k2 - bd.k3, bd.k1 + bd.k3 - bd.k2, bd.k2 + bd.k3 - bd.k1)
+        return [MulticurveCoordinates(*n, 0, 0, 0)] if min(n) >= 0 else []
     out = []
     for n12 in range(2 * min(bd.k1, bd.k2) + 1):
         for n13 in range(n12 % 2, min(2 * bd.k1 - n12, 2 * bd.k3) + 1, 2):
@@ -82,6 +87,5 @@ def enumerate_multicurves(
                 b1 = bd.k1 - (n12 + n13) // 2
                 b2 = bd.k2 - (n12 + n23) // 2
                 b3 = bd.k3 - (n13 + n23) // 2
-                if allow_boundary_parallel or not (b1 or b2 or b3):
-                    out.append(MulticurveCoordinates(n12, n13, n23, b1, b2, b3))
+                out.append(MulticurveCoordinates(n12, n13, n23, b1, b2, b3))
     return out

@@ -221,7 +221,8 @@ def test_c05_farey_oracle_equivalence():
             assert successor(a) == successor_oracle(a, bound=1000), a
             path = shortest_increasing_path(a, INFINITY)
             assert len(path) == bfs_path_length(a, INFINITY, bound=1000), a
-            upper = Slope.from_fraction(a.as_fraction() + Fraction(1, 17))
+            f = a.as_fraction() + Fraction(1, 17)
+            upper = Slope(f.numerator, f.denominator)
             assert greatest_neighbor_below(a, upper) == neighbor_below_oracle(
                 a, upper, bound=1000
             ), a

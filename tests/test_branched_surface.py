@@ -299,6 +299,13 @@ class TestDegreeConsistency:
         violations = check_degree_consistency([record])
         assert any("mixed" in v for v in violations)
 
+    def test_degree_zero_mixed_classes_list_both_violations(self):
+        record = VerticalAnnulus("A1", 0, ("essential", "disk-bounding"))
+        assert check_degree_consistency([record]) == [
+            "annulus A1: mixed boundary classes (essential, disk-bounding)",
+            "annulus A1: degree 0 with a disk-bounding boundary",
+        ]
+
     def test_full_dichotomy(self):
         class_pairs = [
             ("essential", "essential"),

@@ -139,6 +139,35 @@ class TestSurfaceLoading:
         assert err.startswith("error: ") and err.count("\n") == 1
         return err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {"vertical_annuli": [
+                    {"id": "V", "degree": 0, "boundary_classes": ["essential"] * 2},
+                    {"id": "V", "degree": 1, "boundary_classes": ["disk-bounding"] * 2},
+                ]},
+                "duplicate annulus id 'V'",
+            ),
+            (
+                {"sectors": [{"id": "A"}], "boundary_curves": [{"sector": "Z", "role": "in"}]},
+                "boundary curve references unknown sector 'Z'",
+            ),
+            (
+                {
+                    "sectors": [{"id": "A"}],
+                    "boundary_curves": [{"sector": "A", "role": "sideways"}],
+                },
+                "unknown incidence role 'sideways'",
+            ),
+        ],
+        ids=["duplicate-annulus", "boundary-curve-sector", "boundary-curve-role"],
+    )
+    def test_invalid_references_exit_one(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "surf.json"
+        path.write_text(json.dumps(doc))
+        assert message in self.one_line_error(["degree-check", "--input", str(path)], capsys)
+
     def test_top_level_array_exits_one(self, tmp_path, capsys):
         path = tmp_path / "array.json"
         path.write_text(json.dumps([SIMPLE_DOC]))
@@ -388,6 +417,18 @@ class TestContract:
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             0, "sectors: A, B\n0 solution(s)\n", ""
+        )
+
+    def test_tight_multicurve_is_closed_form(self):
+        # one coordinate vector at any size; the grid search it replaced grew as k**3
+        env = dict(os.environ, PYTHONPATH=str(Path(slopecalc.__file__).parents[1]))
+        argv = ["multicurve", "--boundary", "999999,1000000,1000001"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "slopecalc.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "(999998,1000000,1000002|0,0,0)\ncount: 1\n", ""
         )
 
     def test_unknown_flag_exits_two(self):

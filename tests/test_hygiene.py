@@ -73,17 +73,29 @@ def _public_names(tree: ast.Module, is_init: bool) -> set[str]:
     return {name for name in names if not name.startswith("_")}
 
 
+def _public_members(tree: ast.Module) -> set[str]:
+    """Class.name for the public methods and properties of top-level classes."""
+    return {
+        f"{node.name}.{item.name}"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    }
+
+
 def test_every_export_is_used_by_the_package():
-    # no public API exists only for its own test
+    # no public API, top-level name or class member, exists only for its own test
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCES}
     public = {
-        f"{module}:{name}"
+        f"{module}:{name}": name.rsplit(".", 1)[-1]
         for module, tree in trees.items()
-        for name in _public_names(tree, module == "__init__.py")
+        for name in _public_names(tree, module == "__init__.py") | _public_members(tree)
     }
     used = set().union(*(_uses(tree) for module, tree in trees.items() if module != "__init__.py"))
-    assert public, "no public names found"
-    assert sorted(p for p in public if p.split(":")[1] not in used) == []
+    assert any("." in key for key in public), "no public class members found"
+    assert sorted(key for key, name in public.items() if name not in used) == []
 
 
 def test_package_and_cli_import_leave_out_dataclasses():

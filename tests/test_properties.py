@@ -65,6 +65,18 @@ def pairs(draw):
 
 
 @st.composite
+def continued_fractions(draw):
+    """A slope with a 1- to 12-digit denominator whose continued fraction has
+    partial quotients 1 to 8, so paths to and from it stay short."""
+    bound = 10 ** (draw(st.integers(1, 12)) - 1)
+    h_prev, h, k_prev, k = 1, draw(st.integers(-2, 1)), 0, 1
+    while k < bound:  # k grows at most 9-fold, so it ends below 10 * bound
+        a = draw(st.integers(1, 8))
+        h_prev, h, k_prev, k = h, a * h + h_prev, k, a * k + k_prev
+    return Slope(h, k)
+
+
+@st.composite
 def surfaces(draw, min_sectors=1):
     names = draw(st.lists(ids, min_size=min_sectors, max_size=6, unique=True))
     sector = st.sampled_from(names)
@@ -156,6 +168,26 @@ class TestShortestPath:
         assume(a != b)
         a, b = min(a, b), max(a, b)
         assert len(shortest_increasing_path(a, b)) == bfs_path_length(a, b, bound=48)
+
+    @PROPERTY
+    @given(continued_fractions(), continued_fractions() | st.just(INFINITY))
+    def test_each_step_is_the_greatest_edge_below_the_target(self, a, b):
+        # plain cross-multiplication on the (p, q) pairs, infinity being (1, 0)
+        assume(a != b)
+        a, b = min(a, b), max(a, b)
+        path = [(v.numerator, v.denominator) for v in shortest_increasing_path(a, b)]
+        u, v = b.numerator, b.denominator
+        assert path[0] == (a.numerator, a.denominator) and path[-1] == (u, v)
+        for (xp, xq), (yp, yq) in zip(path, path[1:]):
+            assert abs(xp * yq - yp * xq) == 1  # an edge
+            assert yq == 0 or xp * yq < yp * xq  # increasing
+            if (yp, yq) == (u, v):
+                continue
+            assert yq > 0 and (v == 0 or yp * v < u * yq)  # below the target
+            # the neighbors of x above it fall as successor(x) + t*x, t >= 0,
+            # so the next larger one is y - x; with denominator <= 0 there is none
+            wp, wq = yp - xp, yq - xq
+            assert wq <= 0 or (v > 0 and wp * v >= u * wq)
 
 
 class TestJsonRoundTrips:

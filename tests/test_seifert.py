@@ -96,6 +96,10 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_triple("1/2; 1/2; 1/2")
 
+    def test_two_invariants_rejected(self):
+        with pytest.raises(ValueError, match="exactly three"):
+            SeifertTriple((Slope(1, 3), Slope(1, 6)))
+
     def test_infinite_invariant_rejected(self):
         with pytest.raises(ValueError):
             SeifertTriple((Slope(1, 0), Slope(1, 2), Slope(-1, 2)))
@@ -196,6 +200,11 @@ class TestGcsFamily:
         # gcd(3, 3) = 3 does not divide a2' - a1' = 1 - 2
         assert gcs_family(triple("1/3", "2/3", "-1/2")) is None
 
+    def test_inconsistent_particular_solution_rejected(self):
+        fam = gcs_family(WORKED)
+        with pytest.raises(ValueError, match="do not solve"):
+            GcsFamily(fam.base, fam.duals, fam.r1, fam.r2 + 1, fam.step)
+
     def test_family_equation_random(self):
         rng = random.Random(32)
         for _ in range(60):
@@ -208,6 +217,7 @@ class TestGcsFamily:
                 continue
             a1, a2, _ = t.alphas
             d1, d2 = fam.duals
+            assert 0 <= fam.r1 < a2 // gcd(a1, a2) and fam.r2 >= 0
             for m in range(6):
                 k = m * fam.step
                 k1 = k * a2 + fam.r1
@@ -238,8 +248,9 @@ class TestSlopeSk:
                 evidence(fam, bad)
 
     def test_presentations_agree_on_random_triples(self):
-        # evidence checks internally that the two displayed forms agree;
-        # drive it across random normalized triples and admissible k <= 20
+        # s_k as the k-expanded form (-k*(a2*b1 + a1*b2) + 1 - r1*b1 - b1' -
+        # r2*b2 - b2') / (k*a1*a2 + r1*a1 + a1'), over both denominators
+        # k1*a1 + a1' = k2*a2 + a2', across random normalized triples and k <= 20
         rng = random.Random(33)
         seen = 0
         while seen < 50:
@@ -248,11 +259,16 @@ class TestSlopeSk:
             if fam is None:
                 continue
             seen += 1
-            a1 = t.alphas[0]
+            (b1, b2, _), (a1, a2, _) = t.betas, t.alphas
+            (bp1, ap1), (bp2, ap2) = ((d.numerator, d.denominator) for d in fam.duals)
+            r1, r2 = fam.r1, fam.r2
             k = Fraction(0)
             while k <= 20:
                 row = evidence(fam, k)
-                assert row.k1 * a1 + fam.duals[0].denominator > 0  # unreduced den
+                den = row.k1 * a1 + ap1
+                assert den == row.k2 * a2 + ap2 == k * a1 * a2 + r1 * a1 + ap1 > 0
+                num = -k * (a2 * b1 + a1 * b2) + 1 - r1 * b1 - bp1 - r2 * b2 - bp2
+                assert row.s_k.as_fraction() == num / den
                 k += fam.step * rng.randint(1, 7)
 
 
@@ -261,6 +277,10 @@ class TestLimitSlope:
         assert limit_slope(WORKED) == Slope(-1, 2)
         assert limit_slope(triple("1/2", "1/2", "-1/2")) == Slope(-1, 1)
         assert limit_slope(triple("1/4", "1/4", "-1/2")) == Slope(-1, 2)
+
+    def test_requires_normalized(self):
+        with pytest.raises(ValueError, match="normalized"):
+            limit_slope(triple("4/3", "1/6", "-3/2"))
 
     def test_euler_zero_iff_limit_is_third_invariant(self):
         rng = random.Random(34)

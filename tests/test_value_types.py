@@ -14,7 +14,6 @@ from slopecalc import (
     BoundaryData,
     BranchCurve,
     BranchedSurface,
-    FareyPath,
     GcsFamily,
     KEvidence,
     MulticurveCoordinates,
@@ -30,12 +29,6 @@ TRIPLE_REPR = "SeifertTriple(invariants=(Slope(1, 3), Slope(1, 6), Slope(-1, 2))
 # (type, constructor keywords in field order, a field and a value that changes it, repr)
 CASES = [
     (Slope, dict(numerator=1, denominator=2), ("numerator", 3), "Slope(1, 2)"),
-    (
-        FareyPath,
-        dict(vertices=(Slope(0), Slope(1))),
-        ("vertices", (Slope(0), Slope(1, 0))),
-        "FareyPath(vertices=(Slope(0, 1), Slope(1, 1)))",
-    ),
     (BoundaryData, dict(k1=1, k2=2, k3=3), ("k3", 4), "BoundaryData(k1=1, k2=2, k3=3)"),
     (
         MulticurveCoordinates,
@@ -52,7 +45,7 @@ CASES = [
     (
         GcsFamily,
         dict(base=TRIPLE, duals=(Slope(1, 2), Slope(1, 5)), r1=1, r2=0, step=Fraction(1, 3)),
-        ("r2", 1),
+        ("step", Fraction(1, 6)),
         f"GcsFamily(base={TRIPLE_REPR}, duals=(Slope(1, 2), Slope(1, 5)), r1=1, r2=0, "
         "step=Fraction(1, 3))",
     ),
